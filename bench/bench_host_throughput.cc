@@ -16,6 +16,8 @@
 //     hypercall all exercise the same host-side syscall scaffolding).
 //   * RedisSaveEndToEnd — host runtime of one Fig. 3 Redis BGSAVE run (10 MB database), the
 //     macro workload whose heap (≈35k frames) pays for the frame hot path on every run.
+//   * SchedulerDispatch — host cost per scheduler dispatch at N ready threads (the per-layer
+//     row for dispatch; it should stay nearly flat as N grows).
 //
 // `bench/run_benches.sh` writes the JSON results to BENCH_host_throughput.json; EXPERIMENTS.md
 // records the trajectory. Virtual-time results are pinned separately by
@@ -313,6 +315,37 @@ void RedisSaveEndToEnd(::benchmark::State& state) {
 }
 
 BENCHMARK(RedisSaveEndToEnd)->Unit(::benchmark::kMillisecond);
+
+// --- SchedulerDispatch --------------------------------------------------------------------------
+
+constexpr uint64_t kDispatchesPerRun = 64 * 1024;
+
+// A raw Scheduler on 4 cores running N threads that each charge a short slice and yield, so
+// about N - 4 threads are ready at every pick. Arg is N; items are dispatches (slices run).
+void SchedulerDispatch(::benchmark::State& state) {
+  const int threads = static_cast<int>(state.range(0));
+  const uint64_t yields = kDispatchesPerRun / static_cast<uint64_t>(threads);
+  uint64_t dispatches = 0;
+  for (auto _ : state) {
+    Scheduler sched(4);
+    for (int i = 0; i < threads; ++i) {
+      sched.Spawn(
+          [](Scheduler& s, uint64_t n, Cycles slice) -> SimTask<void> {
+            for (uint64_t k = 0; k < n; ++k) {
+              s.Charge(slice);
+              co_await s.Yield();
+            }
+          }(sched, yields, 100 + static_cast<Cycles>(i % 16)),
+          "y" + std::to_string(i));
+    }
+    sched.Run();
+    dispatches += sched.slices_executed();
+    ::benchmark::DoNotOptimize(dispatches);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(dispatches));
+}
+
+BENCHMARK(SchedulerDispatch)->Arg(4)->Arg(64)->Arg(1024);
 
 }  // namespace
 }  // namespace bench

@@ -2,6 +2,6 @@
 
 namespace ufork {
 
-thread_local int tls_host_shard = -1;
+constinit thread_local int tls_host_shard = -1;
 
 }  // namespace ufork

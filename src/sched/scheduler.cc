@@ -9,7 +9,7 @@
 
 namespace ufork {
 
-thread_local Scheduler::ExecContext Scheduler::tls_exec_;
+constinit thread_local Scheduler::ExecContext Scheduler::tls_exec_;
 
 Scheduler::Scheduler(int num_cores, const ShardConfig& shard_config)
     : sharded_(shard_config.shards > 1),
@@ -25,6 +25,7 @@ Scheduler::Scheduler(int num_cores, const ShardConfig& shard_config)
     shards_[s].index = static_cast<int>(s);
     shards_[s].core_lo = static_cast<int>(s) * cores_per_shard_;
     shards_[s].core_hi = shards_[s].core_lo + cores_per_shard_;
+    shards_[s].ready.resize(static_cast<size_t>(1 + cores_per_shard_));
   }
 }
 
@@ -78,7 +79,14 @@ ThreadId Scheduler::Spawn(SimTask<void> task, std::string name, int pinned_core,
 void Scheduler::MakeReady(SimThread* thread, Cycles at) {
   thread->set_state(SimThread::State::kReady);
   thread->set_ready_time(at);
-  shards_[static_cast<size_t>(thread->shard_)].ready.push_back(thread);
+  Shard& shard = shards_[static_cast<size_t>(thread->shard_)];
+  const size_t h = HeapIndex(shard, thread);
+  ReadyHeap& heap = shard.ready[h];
+  heap.push_back(ReadyEntry{at, thread->seq_, thread});
+  std::push_heap(heap.begin(), heap.end(), ReadyAfter{});
+  if (h != 0) {
+    ++shard.pinned_ready;
+  }
 }
 
 void Scheduler::EnqueueEvent(ShardEvent::Kind kind, SimThread* thread, Cycles at) {
@@ -107,56 +115,65 @@ bool Scheduler::RouteWake(SimThread* thread, Cycles wake_time, Cycles resume_del
   return true;
 }
 
-SimThread* Scheduler::PickNext(Shard& shard, Cycles horizon, int* core_out,
-                               Cycles* start_out) {
-  // Among ready threads, choose the (thread, core) pair with the earliest feasible start.
-  // Ties: earlier ready time, then spawn order. O(ready × cores) per dispatch; both are small.
-  SimThread* best = nullptr;
-  int best_core = -1;
-  Cycles best_start = 0;
-  size_t best_index = 0;
-  std::vector<SimThread*>& ready = shard.ready;
-  for (size_t i = 0; i < ready.size(); ++i) {
-    SimThread* t = ready[i];
-    const int lo = t->pinned_core_ >= 0 ? t->pinned_core_ : shard.core_lo;
-    const int hi = t->pinned_core_ >= 0 ? t->pinned_core_ + 1 : shard.core_hi;
-    for (int c = lo; c < hi; ++c) {
-      const Cycles start = std::max(t->ready_time(), cores_[static_cast<size_t>(c)].free_at);
-      const bool better =
-          best == nullptr || start < best_start ||
-          (start == best_start &&
-           (t->ready_time() < best->ready_time() ||
-            (t->ready_time() == best->ready_time() && t->seq_ < best->seq_)));
-      if (better) {
-        best = t;
-        best_core = c;
-        best_start = start;
-        best_index = i;
+Scheduler::Candidate Scheduler::BestCandidate(const Shard& shard) const {
+  // Dispatch order: among ready threads and their eligible cores, the earliest feasible start
+  // max(ready_time, core.free_at), then the earlier ready time, then spawn order; the winner
+  // takes the lowest-index core that achieves its start. Over a fixed core set a thread's
+  // earliest start is max(ready_time, min free_at), monotone in ready_time, so each heap's top
+  // (least (ready_time, seq)) is its class's winner and only the 1 + cores-per-shard tops
+  // compete: O(cores) per pick, O(log ready) per push and pop (DESIGN.md §4.1).
+  Candidate best;
+  const ReadyEntry* best_top = nullptr;
+  auto consider = [&](size_t h, int core, Cycles free_at) {
+    const ReadyEntry& top = shard.ready[h].front();
+    const Cycles start = std::max(top.ready, free_at);
+    if (best_top == nullptr || start < best.start ||
+        (start == best.start && ReadyAfter{}(*best_top, top))) {
+      best = Candidate{h, core, start};
+      best_top = &top;
+    }
+  };
+  if (!shard.ready[0].empty()) {
+    Cycles free_at = kNoCycleLimit;
+    for (int c = shard.core_lo; c < shard.core_hi; ++c) {
+      free_at = std::min(free_at, cores_[static_cast<size_t>(c)].free_at);
+    }
+    consider(0, -1, free_at);
+  }
+  if (shard.pinned_ready != 0) {
+    for (size_t h = 1; h < shard.ready.size(); ++h) {
+      if (!shard.ready[h].empty()) {
+        const int core = shard.core_lo + static_cast<int>(h) - 1;
+        consider(h, core, cores_[static_cast<size_t>(core)].free_at);
       }
     }
   }
-  if (best != nullptr && best_start >= horizon) {
-    return nullptr;  // earliest feasible start falls in a later epoch; leave it queued
-  }
-  if (best != nullptr) {
-    ready.erase(ready.begin() + static_cast<std::ptrdiff_t>(best_index));
-    *core_out = best_core;
-    *start_out = best_start;
+  if (best.heap == 0) {
+    // Every core with free_at <= start achieves the start; take the lowest-index one.
+    best.core = shard.core_lo;
+    while (cores_[static_cast<size_t>(best.core)].free_at > best.start) {
+      ++best.core;
+    }
   }
   return best;
 }
 
-Cycles Scheduler::NextStartOf(const Shard& shard) const {
-  Cycles best = kNoCycleLimit;
-  for (const SimThread* t : shard.ready) {
-    const int lo = t->pinned_core_ >= 0 ? t->pinned_core_ : shard.core_lo;
-    const int hi = t->pinned_core_ >= 0 ? t->pinned_core_ + 1 : shard.core_hi;
-    for (int c = lo; c < hi; ++c) {
-      best = std::min(best,
-                      std::max(t->ready_time(), cores_[static_cast<size_t>(c)].free_at));
-    }
+SimThread* Scheduler::PickNext(Shard& shard, Cycles horizon, int* core_out,
+                               Cycles* start_out) {
+  const Candidate best = BestCandidate(shard);
+  if (best.heap == Candidate::kNoHeap || best.start >= horizon) {
+    return nullptr;  // nothing ready, or its start falls in a later epoch; leave it queued
   }
-  return best;
+  ReadyHeap& heap = shard.ready[best.heap];
+  std::pop_heap(heap.begin(), heap.end(), ReadyAfter{});
+  SimThread* t = heap.back().thread;
+  heap.pop_back();
+  if (best.heap != 0) {
+    --shard.pinned_ready;
+  }
+  *core_out = best.core;
+  *start_out = best.start;
+  return t;
 }
 
 void Scheduler::RunShardUntil(Shard& shard, Cycles horizon) {
@@ -301,7 +318,7 @@ void Scheduler::RunSharded() {
     }
     Cycles next = kNoCycleLimit;
     for (const Shard& sh : shards_) {
-      next = std::min(next, NextStartOf(sh));
+      next = std::min(next, BestCandidate(sh).start);
     }
     if (next == kNoCycleLimit) {
       break;  // no runnable thread anywhere, and the drain produced none
@@ -376,8 +393,14 @@ void Scheduler::Kill(ThreadId tid) {
                "cross-shard Kill during an epoch; defer it to a barrier "
                "(KernelCore::QueueCrossShardKill)");
   if (t->state() == SimThread::State::kReady) {
-    auto& ready = shards_[static_cast<size_t>(t->shard_)].ready;
-    ready.erase(std::remove(ready.begin(), ready.end(), t), ready.end());
+    Shard& shard = shards_[static_cast<size_t>(t->shard_)];
+    const size_t h = HeapIndex(shard, t);
+    ReadyHeap& heap = shard.ready[h];
+    std::erase_if(heap, [t](const ReadyEntry& e) { return e.thread == t; });
+    std::make_heap(heap.begin(), heap.end(), ReadyAfter{});
+    if (h != 0) {
+      --shard.pinned_ready;
+    }
   }
   // Blocked threads are removed from their wait queue by the owner (WaitQueue::Remove); a
   // dangling waiter entry is tolerated: Wake() skips dead threads.

@@ -8,6 +8,8 @@
 //   * Dispatch picks, among ready threads, the one that can *start earliest* on an eligible
 //     core (respecting pinning), breaking ties by ready time then spawn order — this keeps
 //     virtual-time causality: a thread never observes effects from a virtually-later slice.
+//     Ready threads sit in min-heaps keyed (ready time, spawn order), one for unpinned threads
+//     and one per pinned core, so a dispatch compares only the heap tops (DESIGN.md §4.1).
 //   * Blocking (wait queues, sleeping, lock contention) releases the core.
 //
 // With ShardConfig::shards == 1 (the default) the host executes one slice at a time on the
@@ -269,13 +271,30 @@ class Scheduler {
     SimThread* last_thread = nullptr;
   };
 
+  // A ready thread with its dispatch key inline, so heap sifts never dereference the thread.
+  struct ReadyEntry {
+    Cycles ready;
+    uint64_t seq;
+    SimThread* thread;
+  };
+  using ReadyHeap = std::vector<ReadyEntry>;
+  // The "less" comparator that makes std::push_heap/pop_heap keep a min-heap on (ready, seq).
+  // A function object rather than a function pointer, so the heap sifts inline it.
+  struct ReadyAfter {
+    bool operator()(const ReadyEntry& a, const ReadyEntry& b) const {
+      return a.ready != b.ready ? a.ready > b.ready : a.seq > b.seq;
+    }
+  };
+
   // Shard-local scheduler state. Owned by the shard's worker during an epoch; touched by the
   // coordinator only between epochs (barriers order the handoff).
   struct alignas(64) Shard {
     int index = 0;
     int core_lo = 0;  // global core range [core_lo, core_hi) owned by this shard
     int core_hi = 0;
-    std::vector<SimThread*> ready;
+    // ready[0] holds unpinned threads; ready[1 + c - core_lo] those pinned to core c.
+    std::vector<ReadyHeap> ready;
+    size_t pinned_ready = 0;    // entries across the pinned heaps; 0 skips their scan
     Cycles completion = 0;      // max slice end observed on this shard
     uint64_t next_seq = 0;      // spawn-order tie-break counter
     uint64_t event_seq = 0;     // stamps outgoing cross-shard events deterministically
@@ -293,12 +312,23 @@ class Scheduler {
     uint64_t src_seq;
   };
 
+  // The ready thread dispatch would pick next on a shard: which heap's top, on which core,
+  // starting when. heap == kNoHeap when the shard has no ready thread.
+  struct Candidate {
+    static constexpr size_t kNoHeap = ~size_t{0};
+    size_t heap = kNoHeap;
+    int core = -1;
+    Cycles start = kNoCycleLimit;
+  };
+
   struct ExecContext {
     Scheduler* sched = nullptr;
     int shard = -1;
     SimThread* thread = nullptr;
   };
-  static thread_local ExecContext tls_exec_;
+  // constinit: constant-initialised, so accesses need no TLS init wrapper. Under g++ 12 with
+  // -fsanitize=address,undefined the wrapper path reports member access through null.
+  static constinit thread_local ExecContext tls_exec_;
 
   // The simulated thread executing on the calling host thread, or nullptr. Unsharded mode
   // keeps a plain member mirror (current_) so the per-access Charge path pays no TLS reads.
@@ -319,8 +349,14 @@ class Scheduler {
   // (same shard, or no epoch in flight), else into the mailbox. Returns whether it counted.
   bool RouteWake(SimThread* thread, Cycles wake_time, Cycles resume_delay);
   void EnqueueEvent(ShardEvent::Kind kind, SimThread* thread, Cycles at);
+  static size_t HeapIndex(const Shard& shard, const SimThread* thread) {
+    if (thread->pinned_core_ < 0) {
+      return 0;
+    }
+    return static_cast<size_t>(1 + thread->pinned_core_ - shard.core_lo);
+  }
+  Candidate BestCandidate(const Shard& shard) const;
   SimThread* PickNext(Shard& shard, Cycles horizon, int* core_out, Cycles* start_out);
-  Cycles NextStartOf(const Shard& shard) const;
   int TargetShard(int pinned_core, int shard_hint) const;
   SimThread* ThreadAt(ThreadId tid) const;
   void RunShardUntil(Shard& shard, Cycles horizon);

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
+#include "src/base/rng.h"
 #include "src/sched/sync.h"
 
 namespace ufork {
@@ -317,6 +321,124 @@ TEST(Scheduler, DeterministicAcrossRuns) {
     return order;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// --- Dispatch-order pin ---------------------------------------------------------------------
+//
+// Seeded random programs over many threads with equal ready times, pinned and unpinned, mixing
+// Charge / Sleep / Yield / wait-queue block and wake / Kill of ready and blocked threads. Every
+// context switch (prev, next) and every resume (tid, Now()) is folded into an FNV-1a hash, so
+// the pinned hashes fix the scheduler's exact choice of thread, core and start time under the
+// dispatch order of DESIGN.md §4.1. A host-only change to dispatch must leave them unchanged.
+
+struct DispatchLog {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  uint64_t ready_kills = 0;
+  uint64_t blocked_kills = 0;
+
+  void Mix(uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      hash ^= (x >> (8 * i)) & 0xFF;
+      hash *= 0x100000001b3ULL;
+    }
+  }
+};
+
+constexpr int kProgramThreads = 72;
+constexpr int kProgramSteps = 24;
+
+SimTask<void> RandomProgram(Scheduler& s, std::vector<std::unique_ptr<WaitQueue>>* queues,
+                            uint64_t seed, ThreadId self, DispatchLog* log) {
+  Rng rng(seed * 1'000'003 + self);
+  auto resumed = [&] {
+    log->Mix(self);
+    log->Mix(s.Now());
+  };
+  resumed();
+  for (int step = 0; step < kProgramSteps; ++step) {
+    const uint64_t op = rng.NextBelow(100);
+    WaitQueue& queue = *(*queues)[rng.NextBelow(queues->size())];
+    if (op < 30) {
+      s.Charge(10 * rng.NextBelow(4));  // coarse amounts keep start times colliding
+    } else if (op < 45) {
+      // Mostly short sleeps; the long ones let cores go idle, so which idle core a thread
+      // takes matters.
+      co_await s.Sleep(rng.NextBelow(4) == 0 ? 500 * rng.NextBelow(8) : 10 * rng.NextBelow(5));
+      resumed();
+    } else if (op < 60) {
+      co_await s.Yield();
+      resumed();
+    } else if (op < 76) {
+      co_await queue.Wait();
+      resumed();
+    } else if (op < 96) {
+      if (rng.NextBelow(4) == 0) {
+        queue.WakeAll();
+      } else {
+        queue.Wake();
+      }
+    } else {
+      const ThreadId victim = rng.NextBelow(kProgramThreads);
+      if (victim != self) {
+        if (s.IsBlocked(victim)) {
+          ++log->blocked_kills;
+        } else if (s.IsAlive(victim)) {
+          ++log->ready_kills;  // the caller is the only running thread
+        }
+        log->Mix(victim);
+        s.Kill(victim);
+      }
+    }
+  }
+}
+
+uint64_t RunRandomProgram(int cores, uint64_t seed, DispatchLog* log) {
+  Scheduler sched(cores);
+  sched.set_allow_blocked_exit(true);  // a program may end parked on a queue nobody wakes
+  sched.set_context_switch_hook([log](SimThread* prev, SimThread* next) -> Cycles {
+    log->Mix(prev != nullptr ? prev->tid() : kInvalidThread);
+    log->Mix(next->tid());
+    return 100 + 25 * (next->tid() % 3);
+  });
+  std::vector<std::unique_ptr<WaitQueue>> queues;
+  for (int q = 0; q < 4; ++q) {
+    queues.push_back(std::make_unique<WaitQueue>(sched));
+    queues.back()->set_resume_delay(static_cast<Cycles>(5 * q));
+  }
+  Rng placement(seed);
+  for (ThreadId tid = 0; tid < kProgramThreads; ++tid) {
+    const int pinned =
+        placement.NextBelow(4) == 0 ? static_cast<int>(placement.NextBelow(cores)) : -1;
+    sched.Spawn(RandomProgram(sched, &queues, seed, tid, log), "p" + std::to_string(tid),
+                pinned);
+  }
+  sched.Run();
+  log->Mix(sched.CompletionTime());
+  log->Mix(sched.context_switches());
+  log->Mix(sched.slices_executed());
+  return log->hash;
+}
+
+TEST(Scheduler, DispatchOrderPinnedOnRandomPrograms) {
+  struct Case {
+    int cores;
+    uint64_t seed;
+    uint64_t hash;
+  };
+  const Case cases[] = {
+      {1, 1, 0xe34f4b4e397dcd6eULL}, {1, 2, 0x29a9ba42039235beULL},
+      {1, 3, 0x10f387f58ecaac19ULL}, {2, 1, 0xed5d64f4f5c2f851ULL},
+      {2, 2, 0x8fde0b70dc69ac26ULL}, {2, 3, 0x6dc2ad54b4825674ULL},
+      {4, 1, 0xa0560763edb90e3eULL}, {4, 2, 0x77f865c8081ecc5bULL},
+      {4, 3, 0x3e7188201c145d23ULL},
+  };
+  for (const Case& c : cases) {
+    DispatchLog log;
+    const uint64_t hash = RunRandomProgram(c.cores, c.seed, &log);
+    EXPECT_EQ(hash, c.hash) << "cores=" << c.cores << " seed=" << c.seed;
+    EXPECT_GT(log.ready_kills, 0u) << "cores=" << c.cores << " seed=" << c.seed;
+    EXPECT_GT(log.blocked_kills, 0u) << "cores=" << c.cores << " seed=" << c.seed;
+  }
 }
 
 }  // namespace
