@@ -99,7 +99,6 @@ struct SystemConfig {
   uint64_t phys_mem_bytes = 3 * kGiB;
   double mas_allocator_dirty_fraction = 0.0;
   FaultAroundConfig fault_around;  // default: disabled (window=1), as in the calibrated figures
-  int host_shards = 1;  // >1: sharded multi-threaded host (DESIGN.md §4.11)
   bool demand_paging = false;  // fault-driven population + reservations (DESIGN.md §4.12)
   // Incremental concurrent compaction (DESIGN.md §4.13): >0 bounds the pages relocated per
   // background-service quantum; 0 keeps the stop-the-world-only historical behaviour.
@@ -115,7 +114,6 @@ inline std::unique_ptr<Kernel> MakeSystem(const SystemConfig& sc) {
   config.isolation = sc.isolation;
   config.phys_mem_bytes = sc.phys_mem_bytes;
   config.fault_around = sc.fault_around;
-  config.host_shards = sc.host_shards;
   config.demand_paging = sc.demand_paging;
   config.compact_budget_pages = sc.compact_budget_pages;
   config.quarantine_freed_regions = sc.quarantine_freed_regions;

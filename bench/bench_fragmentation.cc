@@ -112,12 +112,10 @@ void FragmentationCompactionIncremental(::benchmark::State& state) {
     SetIterationCycles(state, elapsed == 0 ? 1 : elapsed);
     state.counters["largest_free_before"] = static_cast<double>(before.largest_free_block);
     state.counters["largest_free_after"] = static_cast<double>(after.largest_free_block);
-    state.counters["pause_cycles_max"] =
-        static_cast<double>(kernel->stats().pause_cycles_max.value());
-    state.counters["compact_steps"] = static_cast<double>(kernel->stats().compact_steps.value());
-    state.counters["regions_moved"] =
-        static_cast<double>(kernel->stats().compact_regions_moved.value());
-    state.counters["caps_revoked"] = static_cast<double>(kernel->stats().caps_revoked.value());
+    state.counters["pause_cycles_max"] = static_cast<double>(kernel->stats().pause_cycles_max);
+    state.counters["compact_steps"] = static_cast<double>(kernel->stats().compact_steps);
+    state.counters["regions_moved"] = static_cast<double>(kernel->stats().compact_regions_moved);
+    state.counters["caps_revoked"] = static_cast<double>(kernel->stats().caps_revoked);
   }
 }
 

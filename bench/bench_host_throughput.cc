@@ -109,17 +109,12 @@ BENCHMARK_CAPTURE(SimulatedFork, Nephele, System::kNephele);
 constexpr int kFleetRoots = 8;
 constexpr int kFleetForksPerRoot = 8;
 
-// The sharded-host scaling gate (DESIGN.md §4.11): an 8-root fork fleet, each root forking
-// and reaping children that dirty anonymous memory (CoW work on the shared machine). Arg is
-// the host shard count; `forks_per_hsec` is the wall-clock scaling figure check_regression.py
-// gates on (≥2.5× at 4 shards vs 1 on a ≥4-core host — on fewer cores the gate skips).
-// UseRealTime: shard workers burn CPU time in parallel; wall clock is the merit figure.
+// An 8-root fork fleet, each root forking and reaping children that dirty anonymous memory
+// (CoW work on the shared machine); `forks_per_hsec` is fork round trips per host second.
 void ForkFleetThroughput(::benchmark::State& state) {
-  const int shards = static_cast<int>(state.range(0));
   SystemConfig sc;
   sc.layout = HelloLayout();
   sc.cores = 4;
-  sc.host_shards = shards;
   for (auto _ : state) {
     auto kernel = MakeSystem(sc);
     for (int root = 0; root < kFleetRoots; ++root) {
@@ -150,12 +145,11 @@ void ForkFleetThroughput(::benchmark::State& state) {
   const auto total_forks =
       static_cast<int64_t>(state.iterations()) * kFleetRoots * kFleetForksPerRoot;
   state.SetItemsProcessed(total_forks);
-  state.counters["shards"] = static_cast<double>(shards);
   state.counters["forks_per_hsec"] =
       ::benchmark::Counter(static_cast<double>(total_forks), ::benchmark::Counter::kIsRate);
 }
 
-BENCHMARK(ForkFleetThroughput)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+BENCHMARK(ForkFleetThroughput)->UseRealTime();
 
 // --- HttpdFleetFootprint ------------------------------------------------------------------------
 

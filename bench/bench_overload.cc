@@ -31,11 +31,6 @@
 //                                  go-time (chaos x overload soak; crashed==0 is not
 //                                  expected under chaos, containment and determinism are)
 //   UFORK_OVERLOAD_REPLAY_CHECK=1  run each fleet twice and require bit-identical results
-//                                  (applies only at UFORK_OVERLOAD_SHARDS=1; see below)
-//   UFORK_OVERLOAD_SHARDS=N        run the fleet on an N-shard multi-threaded host
-//                                  (DESIGN.md §4.11). Rows carry a `shards` counter so
-//                                  check_regression.py keys them separately from 1-shard
-//                                  baselines.
 #include <cmath>
 #include <cstdlib>
 #include <string>
@@ -382,7 +377,6 @@ struct FleetOptions {
   bool admission = true;
   bool chaos = false;
   uint64_t chaos_seed = 0;
-  int host_shards = 1;  // UFORK_OVERLOAD_SHARDS: sharded-host smoke row (DESIGN.md §4.11)
 };
 
 FleetResult RunFleet(System system, const FleetOptions& opt) {
@@ -391,7 +385,6 @@ FleetResult RunFleet(System system, const FleetOptions& opt) {
   sc.layout = FleetLayout();
   sc.cores = 4;
   sc.phys_mem_bytes = kFleetPhysMem;
-  sc.host_shards = opt.host_shards;
 
   FleetResult result;
   auto kernel = RunGuestMain(sc, [&result, opt](Guest& g) -> SimTask<void> {
@@ -524,7 +517,6 @@ void OverloadFleet(::benchmark::State& state, System system, bool admission) {
   opt.rate_multiplier = static_cast<double>(state.range(0)) / 10.0;
   opt.seed = EnvSeed("UFORK_OVERLOAD_SEED", 1);
   opt.admission = admission;
-  opt.host_shards = static_cast<int>(EnvSeed("UFORK_OVERLOAD_SHARDS", 1));
   const char* chaos_env = std::getenv("UFORK_OVERLOAD_CHAOS_SEED");
   if (chaos_env != nullptr) {
     opt.chaos = true;
@@ -533,10 +525,7 @@ void OverloadFleet(::benchmark::State& state, System system, bool admission) {
 
   for (auto _ : state) {
     FleetResult r = RunFleet(system, opt);
-    // Replay bit-identity is a single-shard property: at shards>1 virtual cycle totals
-    // (and hence latency tails) legitimately vary with host thread interleaving even
-    // though guest-visible payloads do not. See DESIGN.md §4.11.
-    if (opt.host_shards == 1 && std::getenv("UFORK_OVERLOAD_REPLAY_CHECK") != nullptr) {
+    if (std::getenv("UFORK_OVERLOAD_REPLAY_CHECK") != nullptr) {
       FleetResult replay = RunFleet(system, opt);
       UF_CHECK_MSG(replay == r,
                    "overload fleet is not a pure function of (system, seed): replay diverged");
@@ -567,7 +556,6 @@ void OverloadFleet(::benchmark::State& state, System system, bool admission) {
     state.counters["admission_rejected"] = static_cast<double>(r.admission_rejected);
     state.counters["tenant_cap_rejections"] = static_cast<double>(r.tenant_cap_rejections);
     state.counters["forks"] = static_cast<double>(r.forks);
-    state.counters["shards"] = static_cast<double>(opt.host_shards);
     state.counters["resident_frames"] = static_cast<double>(r.peak_resident_frames);
   }
 }

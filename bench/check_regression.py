@@ -10,10 +10,6 @@ Subcommands:
       present in only one file are reported but never fail the gate, so adding or retiring a
       benchmark does not break CI.
 
-      Rows carrying a `shards` counter != 1 (sharded-host runs, DESIGN.md §4.11) are keyed
-      as "<run_name>@shards=N" so they never collide with — and never silently regress
-      against — a 1-shard baseline row of the same name.
-
   storm-gate STORM.json [--improvement 0.10] [--benchmark FaultStormRedis]
               [--counter fault_Mcycles] [--baseline-arg 1] [--candidate-arg 0]
       Checks the fault-around acceptance criterion on bench_fault_storm output: the adaptive
@@ -31,15 +27,6 @@ Subcommands:
            sheds load instead of collapsing,
         3. if a baseline file is given, each row's goodput >= baseline - threshold.
       Counters are simulator virtual time, so 1 and 2 are deterministic per seed.
-      Sharded rows (`shards` counter != 1) are keyed separately, as in compare.
-
-  shard-gate HOST.json [--speedup 2.5] [--min-cpus 4] [--benchmark ForkFleetThroughput]
-              [--counter forks_per_hsec] [--shards 4]
-      Checks the sharded-host scaling acceptance criterion (DESIGN.md §4.11): the
-      --shards-shard row of the given benchmark must beat the 1-shard row's throughput
-      counter by at least the --speedup factor. Wall-clock scaling only exists with real
-      cores: when the recording host's context.num_cpus is below --min-cpus the gate
-      SKIPS loudly (exit 0) instead of failing, so single-core CI containers stay green.
 
   frag-gate FRAG.json [--min-recovery 0.9] [--max-pause-ratio 0.1] [--arg 32]
       Checks the incremental-compaction acceptance criteria (DESIGN.md §4.13) on
@@ -64,28 +51,16 @@ import json
 import sys
 
 
-def load_doc(path):
-    with open(path) as f:
-        return json.load(f)
-
-
 def load_benchmarks(path):
-    return load_doc(path).get("benchmarks", [])
-
-
-def shard_key(run_name, entry):
-    """Keys sharded-host rows separately so they never collide with 1-shard baselines."""
-    shards = entry.get("shards")
-    if shards is not None and float(shards) != 1.0:
-        return f"{run_name}@shards={int(float(shards))}"
-    return run_name
+    with open(path) as f:
+        return json.load(f).get("benchmarks", [])
 
 
 def representative_times(entries):
     """Maps run_name -> representative real_time (aggregate median > mean > raw average)."""
     by_run = {}
     for entry in entries:
-        run_name = shard_key(entry.get("run_name", entry.get("name", "")), entry)
+        run_name = entry.get("run_name", entry.get("name", ""))
         by_run.setdefault(run_name, []).append(entry)
     times = {}
     for run_name, group in by_run.items():
@@ -154,11 +129,7 @@ def cmd_storm_gate(args):
 
 
 def overload_rows(entries):
-    """Maps (capture_name, rate_arg) -> iteration entry for OverloadFleet rows.
-
-    Sharded rows get the "@shards=N" suffix on the capture name so a multi-shard smoke
-    run never masquerades as (or gates against) the 1-shard baseline row.
-    """
+    """Maps (capture_name, rate_arg) -> iteration entry for OverloadFleet rows."""
     rows = {}
     for entry in entries:
         if entry.get("run_type") == "aggregate":
@@ -167,17 +138,15 @@ def overload_rows(entries):
         parts = run_name.split("/")
         if len(parts) < 3 or parts[0] != "OverloadFleet":
             continue
-        rows[(shard_key(parts[1], entry), parts[2])] = entry
+        rows[(parts[1], parts[2])] = entry
     return rows
 
 
 def cmd_overload_gate(args):
     rows = overload_rows(load_benchmarks(args.overload))
     baseline = overload_rows(load_benchmarks(args.baseline)) if args.baseline else {}
-    # _NoAdmission rows are the ablation; @shards= rows are sharded-host smoke runs (their
-    # goodput depends on host core count, not the admission policy under test). Neither gates.
-    systems = sorted({name for (name, _) in rows
-                      if not name.endswith("_NoAdmission") and "@shards=" not in name})
+    # _NoAdmission rows are the ablation and never gate.
+    systems = sorted({name for (name, _) in rows if not name.endswith("_NoAdmission")})
     if not systems:
         raise SystemExit("error: no gated OverloadFleet rows found")
     failures = []
@@ -217,45 +186,9 @@ def cmd_overload_gate(args):
     return 0
 
 
-def find_rate(entries, prefix, counter):
-    """Like find_counter, but tolerates aggregate-only output (repetitions + median)."""
-    groups = {}
-    for entry in entries:
-        run_name = entry.get("run_name", entry.get("name", ""))
-        if run_name.startswith(prefix) and counter in entry:
-            groups.setdefault(entry.get("aggregate_name", "iteration"), []).append(
-                float(entry[counter]))
-    for kind in ("median", "mean", "iteration"):
-        if kind in groups:
-            return sum(groups[kind]) / len(groups[kind])
-    raise SystemExit(f"error: no entry matching '{prefix}' with counter '{counter}'")
-
-
-def cmd_shard_gate(args):
-    doc = load_doc(args.host)
-    num_cpus = int(doc.get("context", {}).get("num_cpus", 0))
-    if num_cpus < args.min_cpus:
-        print(f"shard gate SKIPPED: recording host has {num_cpus} CPU(s), need >= "
-              f"{args.min_cpus} for wall-clock shard scaling to exist. Re-record "
-              f"BENCH_host_throughput.json on a multi-core host to arm this gate.")
-        return 0
-    entries = doc.get("benchmarks", [])
-    base = find_rate(entries, f"{args.benchmark}/1/", args.counter)
-    cand = find_rate(entries, f"{args.benchmark}/{args.shards}/", args.counter)
-    speedup = cand / base if base > 0 else 0.0
-    print(f"  {args.benchmark} {args.counter}: 1 shard {base:.0f}, {args.shards} shards "
-          f"{cand:.0f} ({speedup:.2f}x, host has {num_cpus} CPUs)")
-    if speedup < args.speedup:
-        print(f"FAIL: {args.shards}-shard host must reach >= {args.speedup:.1f}x the 1-shard "
-              f"{args.counter} on a >= {args.min_cpus}-core host")
-        return 1
-    print("shard gate OK")
-    return 0
-
-
 def find_arg_row(entries, benchmark, arg, counter):
     """Representative counter value for the `<benchmark>/<arg>` row (exact-arg match, so
-    arg 1 never swallows arg 16; aggregates preferred as in find_rate)."""
+    arg 1 never swallows arg 16; aggregates preferred: median, then mean)."""
     name = f"{benchmark}/{arg}"
     groups = {}
     for entry in entries:
@@ -350,15 +283,6 @@ def main():
     overload.add_argument("--threshold", type=float, default=0.10)
     overload.add_argument("--allow-crashes", action="store_true")
     overload.set_defaults(fn=cmd_overload_gate)
-
-    shard = sub.add_parser("shard-gate")
-    shard.add_argument("host")
-    shard.add_argument("--speedup", type=float, default=2.5)
-    shard.add_argument("--min-cpus", type=int, default=4)
-    shard.add_argument("--benchmark", default="ForkFleetThroughput")
-    shard.add_argument("--counter", default="forks_per_hsec")
-    shard.add_argument("--shards", default="4")
-    shard.set_defaults(fn=cmd_shard_gate)
 
     frag = sub.add_parser("frag-gate")
     frag.add_argument("frag")

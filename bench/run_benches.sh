@@ -82,11 +82,6 @@ if [ -n "${python3_bin}" ] && [ -f "${host_json}" ]; then
 fi
 
 if [ -n "${python3_bin}" ]; then
-  # Sharded-host scaling gate (DESIGN.md §4.11): 4-shard ForkFleetThroughput must reach
-  # >= 2.5x the 1-shard rate. Skips loudly (exit 0) when the host has < 4 CPUs.
-  echo "shard-scaling gate:"
-  "${python3_bin}" "${repo_root}/bench/check_regression.py" shard-gate "${host_new}"
-
   # Demand-paging footprint gate (DESIGN.md §4.12): the 256-worker httpd fleet under demand
   # paging must hold <= 0.5x the eager fleet's resident frames. The counter is simulator
   # frame counts, so the gate is deterministic on any host.
@@ -161,17 +156,6 @@ fi
 
 if [ "${smoke}" = 1 ]; then
   rm -f "${overload_new}"
-
-  # Sharded-host smoke row (DESIGN.md §4.11): one saturation-rate fleet on a 2-shard host.
-  # Verifies the multi-threaded machine survives the overload workload; rows carry a
-  # `shards` counter so check_regression.py keys them apart from the 1-shard baselines.
-  sharded_new="$(mktemp -t bench_sharded.XXXXXX.json)"
-  UFORK_OVERLOAD_SHARDS=2 "${build_dir}/bench/bench_overload" \
-    --benchmark_filter='OverloadFleet/uFork/10/' \
-    --benchmark_out="${sharded_new}" \
-    --benchmark_out_format=json
-  rm -f "${sharded_new}"
-
   echo "smoke run OK (committed baselines untouched)"
 else
   mv "${overload_new}" "${overload_json}"

@@ -53,7 +53,7 @@ int main() {
   std::printf("[zygote] window: %lu functions in %.1f ms → %.0f functions/s on 3 cores\n",
               result.functions_completed, ToMilliseconds(result.elapsed),
               result.FunctionsPerSecond());
-  std::printf("kernel: %lu forks, %lu exits, %lu CoPA faults\n", kernel->stats().forks.value(),
-              kernel->stats().exits.value(), kernel->machine().cap_load_faults());
+  std::printf("kernel: %lu forks, %lu exits, %lu CoPA faults\n", kernel->stats().forks,
+              kernel->stats().exits, kernel->machine().cap_load_faults());
   return 0;
 }

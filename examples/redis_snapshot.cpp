@@ -57,7 +57,7 @@ void RunOnce(ForkStrategy strategy) {
         std::printf("            pages: %lu mapped, %lu eager copies; on-fault copies %lu "
                     "(CoPA faults %lu)\n",
                     fork_stats.pages_mapped, fork_stats.pages_copied_eagerly,
-                    g.kernel().stats().pages_copied_on_fault.value(),
+                    g.kernel().stats().pages_copied_on_fault,
                     g.kernel().machine().cap_load_faults());
       }),
       "redis");

@@ -43,7 +43,7 @@ int main() {
           std::printf("--- %s ---\n%s", path, contents->c_str());
         }
         std::printf("(each command line cost one fork + one exec; %lu forks total)\n",
-                    g.kernel().stats().forks.value());
+                    g.kernel().stats().forks);
       }),
       "sh");
   UF_CHECK(pid.ok());

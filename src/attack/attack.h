@@ -3,7 +3,7 @@
 // μFork's isolation story rests on the capability machine faulting *exactly* where CHERI says
 // it must: forged pointers load untagged, bounds escapes trap, sealed capabilities refuse
 // inspection, and IPC transfer buffers launder bytes but never tags. Every speed item in the
-// ROADMAP reshaped those paths (fault-around windows, demand fills, sharding, incremental
+// ROADMAP reshaped those paths (fault-around windows, demand fills, incremental
 // compaction); this battery attacks them.
 //
 // An attack is a small *program* over adversarial primitives (AttackOp), interpreted by guest

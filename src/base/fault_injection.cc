@@ -75,7 +75,6 @@ Result<FaultPolicy> FaultPolicy::Parse(std::string_view spec) {
 }
 
 void FaultInjector::Arm(FaultSite site, FaultPolicy policy, uint64_t seed) {
-  std::lock_guard<std::mutex> lk(mu_);
   Slot& slot = SlotOf(site);
   if (!slot.armed) {
     ++armed_count_;
@@ -99,11 +98,6 @@ void FaultInjector::ArmAll(FaultPolicy policy, uint64_t seed) {
 }
 
 void FaultInjector::Disarm(FaultSite site) {
-  std::lock_guard<std::mutex> lk(mu_);
-  DisarmLocked(site);
-}
-
-void FaultInjector::DisarmLocked(FaultSite site) {
   Slot& slot = SlotOf(site);
   if (slot.armed) {
     --armed_count_;
@@ -145,7 +139,7 @@ bool FaultInjector::ShouldFailSlow(FaultSite site) {
       break;
     case FaultPolicy::Kind::kOneShot:
       fail = true;
-      DisarmLocked(site);
+      Disarm(site);
       ++slot.failures;  // Disarm cleared armed, not the counters; count before returning
       return true;
   }

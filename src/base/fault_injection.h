@@ -21,9 +21,7 @@
 #define UFORK_SRC_BASE_FAULT_INJECTION_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <string_view>
 
@@ -90,19 +88,14 @@ class FaultInjector {
   void DisarmAll();
 
   bool armed(FaultSite site) const { return SlotOf(site).armed; }
-  bool any_armed() const { return armed_count_.load(std::memory_order_relaxed) > 0; }
+  bool any_armed() const { return armed_count_ > 0; }
 
-  // The injection hook. With nothing armed this is one relaxed load and branch; armed sites
-  // count the hit and evaluate the policy under mu_ (shard workers share the injector, and a
-  // chaos soak must count every hit exactly once — DESIGN.md §4.11). Never charges virtual
-  // cycles. NOTE: with sites armed at shards>1, hit ORDER across shards follows host timing,
-  // so nth=K selects a host-timing-dependent victim; per-shard failure TOTALS under after=/
-  // prob= remain policy-driven.
+  // The injection hook. With nothing armed this is one load and branch; armed sites count
+  // the hit and evaluate the policy. Never charges virtual cycles.
   bool ShouldFail(FaultSite site) {
-    if (armed_count_.load(std::memory_order_relaxed) == 0) [[likely]] {
+    if (armed_count_ == 0) [[likely]] {
       return false;
     }
-    std::lock_guard<std::mutex> lk(mu_);
     return ShouldFailSlow(site);
   }
 
@@ -123,12 +116,10 @@ class FaultInjector {
   Slot& SlotOf(FaultSite site) { return slots_[static_cast<size_t>(site)]; }
   const Slot& SlotOf(FaultSite site) const { return slots_[static_cast<size_t>(site)]; }
 
-  bool ShouldFailSlow(FaultSite site);  // caller holds mu_
-  void DisarmLocked(FaultSite site);    // caller holds mu_
+  bool ShouldFailSlow(FaultSite site);
 
   std::array<Slot, kNumFaultSites> slots_{};
-  std::atomic<uint32_t> armed_count_{0};
-  std::mutex mu_;  // guards slots_ when any site is armed
+  uint32_t armed_count_ = 0;
 };
 
 }  // namespace ufork

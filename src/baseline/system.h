@@ -28,10 +28,7 @@ inline std::unique_ptr<Kernel> MakeMasKernel(KernelConfig config = {},
   // A monolithic kernel has fine-grained locking, not Unikraft's big kernel lock. Model it as
   // uncontended lock domains (zero acquire/release cost) rather than per-service locks so the
   // baseline's virtual timings stay exactly what they were before lock domains existed.
-  // Sharded hosts need a real mutex per domain, so they fall back to per-service granularity;
-  // host mutexes charge no virtual cycles, preserving the zero-cost model (DESIGN.md §4.11).
-  config.lock_mode =
-      config.host_shards > 1 ? LockMode::kPerService : LockMode::kUncontended;
+  config.lock_mode = LockMode::kUncontended;
   return std::make_unique<Kernel>(config, std::make_unique<MasBackend>(params));
 }
 

@@ -1,5 +1,6 @@
 #include "src/kernel/admission.h"
 
+#include <algorithm>
 #include <iterator>
 
 #include "src/base/check.h"
@@ -19,16 +20,14 @@ void AdmissionController::Configure(const OverloadConfig& config) {
                      config.low_watermark <= config.clear_watermark,
                  "overload watermarks must satisfy critical <= low <= clear");
   }
-  std::lock_guard<std::mutex> lk(mu_);
   config_ = config;
   if (!config_.enabled) {
-    rejecting_.store(false, std::memory_order_relaxed);
-    DrainLocked();
+    rejecting_ = false;
+    Drain();
   }
 }
 
 uint64_t AdmissionController::parked() const {
-  std::lock_guard<std::mutex> lk(mu_);
   uint64_t total = 0;
   for (const auto& [tenant, queue] : queues_) {
     total += queue->size();
@@ -36,22 +35,20 @@ uint64_t AdmissionController::parked() const {
   return total;
 }
 
-void AdmissionController::UpdateStateLocked(uint64_t free) {
-  const bool rejecting = rejecting_.load(std::memory_order_relaxed);
-  if (!rejecting && free < config_.low_watermark) {
-    rejecting_.store(true, std::memory_order_relaxed);
+void AdmissionController::UpdateState(uint64_t free) {
+  if (!rejecting_ && free < config_.low_watermark) {
+    rejecting_ = true;
     ++stats_.admission_trips;
-  } else if (rejecting && free >= config_.clear_watermark) {
-    rejecting_.store(false, std::memory_order_relaxed);
+  } else if (rejecting_ && free >= config_.clear_watermark) {
+    rejecting_ = false;
   }
 }
 
 AdmissionController::Decision AdmissionController::Evaluate() {
   UF_DCHECK(config_.enabled);
-  std::lock_guard<std::mutex> lk(mu_);
   const uint64_t free = frames_.free_frames();
-  UpdateStateLocked(free);
-  if (!rejecting_.load(std::memory_order_relaxed)) {
+  UpdateState(free);
+  if (!rejecting_) {
     return Decision::kAdmit;
   }
   uint64_t total_parked = 0;
@@ -65,7 +62,7 @@ AdmissionController::Decision AdmissionController::Evaluate() {
   return Decision::kReject;
 }
 
-WaitQueue& AdmissionController::QueueForLocked(TenantId tenant) {
+WaitQueue& AdmissionController::QueueFor(TenantId tenant) {
   auto it = queues_.find(tenant);
   if (it == queues_.end()) {
     it = queues_.emplace(tenant, std::make_unique<WaitQueue>(sched_)).first;
@@ -76,19 +73,15 @@ WaitQueue& AdmissionController::QueueForLocked(TenantId tenant) {
 SimTask<void> AdmissionController::ParkUntilDrained(TenantId tenant) {
   ++stats_.admission_parked;
   const Cycles parked_at = sched_.Now();
-  WaitQueue* queue;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    queue = &QueueForLocked(tenant);
-  }
-  co_await queue->Wait();
+  co_await QueueFor(tenant).Wait();
   ++stats_.admission_resumed;
   // Measured frame-locally: a parked forker that is killed never resumes, never updates the
   // max, and never leaves a dangling reference behind.
-  stats_.parked_wait_cycles_max.UpdateMax(sched_.Now() - parked_at);
+  stats_.parked_wait_cycles_max =
+      std::max(stats_.parked_wait_cycles_max, sched_.Now() - parked_at);
 }
 
-WaitQueue* AdmissionController::NextNonEmptyLocked() {
+WaitQueue* AdmissionController::NextNonEmpty() {
   if (queues_.empty()) {
     return nullptr;
   }
@@ -107,23 +100,21 @@ WaitQueue* AdmissionController::NextNonEmptyLocked() {
   return nullptr;
 }
 
-void AdmissionController::DrainLocked() {
+void AdmissionController::Drain() {
   // Aging drain: oldest-parked-first within a tenant (each queue is FIFO), one waiter per
   // tenant per round-robin pass across tenants. Every parked forker is woken — the policy
   // decides *order*, and order is what re-contention fairness hangs on: woken forkers
   // re-Evaluate() in wake order, so under a pool that only partially recovered the RR
   // interleave gives every tenant a shot before any tenant's second waiter.
-  for (WaitQueue* queue = NextNonEmptyLocked(); queue != nullptr;
-       queue = NextNonEmptyLocked()) {
+  for (WaitQueue* queue = NextNonEmpty(); queue != nullptr; queue = NextNonEmpty()) {
     queue->Wake(1);
   }
 }
 
 void AdmissionController::OnFramesFreed() {
-  if (!rejecting_.load(std::memory_order_relaxed)) {
+  if (!rejecting_) {
     return;
   }
-  std::lock_guard<std::mutex> lk(mu_);
   bool any_parked = false;
   for (const auto& [tenant, queue] : queues_) {
     if (!queue->empty()) {
@@ -134,9 +125,9 @@ void AdmissionController::OnFramesFreed() {
   if (!any_parked) {
     return;
   }
-  UpdateStateLocked(frames_.free_frames());
-  if (!rejecting_.load(std::memory_order_relaxed)) {
-    DrainLocked();
+  UpdateState(frames_.free_frames());
+  if (!rejecting_) {
+    Drain();
   }
 }
 

@@ -26,19 +26,15 @@
 // fairness is long-run, not just per-recovery. KernelStats::parked_wait_cycles_max records
 // the worst park-to-resume latency in virtual cycles (aging observability).
 //
-// Everything is virtual-time deterministic at one host shard, and the whole subsystem is
-// golden-pinned OFF by default: with OverloadConfig::enabled == false, Evaluate() is never
-// consulted and no release hook is installed, leaving every virtual cycle bit-identical to
-// the historical kernel. All controller state is guarded by an internal host mutex: in
-// sharded-host mode (DESIGN.md §4.11) Evaluate/OnFramesFreed race from shard workers.
+// Everything is virtual-time deterministic, and the whole subsystem is golden-pinned OFF by
+// default: with OverloadConfig::enabled == false, Evaluate() is never consulted and no release
+// hook is installed, leaving every virtual cycle bit-identical to the historical kernel.
 #ifndef UFORK_SRC_KERNEL_ADMISSION_H_
 #define UFORK_SRC_KERNEL_ADMISSION_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 
 #include "src/base/status.h"
 #include "src/base/units.h"
@@ -71,7 +67,7 @@ class AdmissionController {
   AdmissionController& operator=(const AdmissionController&) = delete;
 
   bool enabled() const { return config_.enabled; }
-  bool rejecting() const { return rejecting_.load(std::memory_order_relaxed); }
+  bool rejecting() const { return rejecting_; }
   uint64_t parked() const;
   const OverloadConfig& config() const { return config_; }
 
@@ -95,23 +91,22 @@ class AdmissionController {
   void OnFramesFreed();
 
  private:
-  void UpdateStateLocked(uint64_t free);
-  WaitQueue& QueueForLocked(TenantId tenant);
+  void UpdateState(uint64_t free);
+  WaitQueue& QueueFor(TenantId tenant);
   // The next non-empty tenant queue at or after the RR cursor, advancing the cursor past the
   // chosen tenant. Null when every queue is drained.
-  WaitQueue* NextNonEmptyLocked();
-  void DrainLocked();
+  WaitQueue* NextNonEmpty();
+  void Drain();
 
   Scheduler& sched_;
   FrameAllocator& frames_;
   KernelStats& stats_;
   OverloadConfig config_;
-  mutable std::mutex mu_;  // guards queues_, rr_cursor_, rejecting_ transitions, config_ swap
-  // Per-tenant park queues, FIFO within each (unique_ptr: WaitQueue owns a mutex and cannot
-  // move). Entries are never erased, so queue addresses stay stable across suspensions.
+  // Per-tenant park queues, FIFO within each (unique_ptr: a WaitQueue cannot move). Entries
+  // are never erased, so queue addresses stay stable across suspensions.
   std::map<TenantId, std::unique_ptr<WaitQueue>> queues_;
   TenantId rr_cursor_ = 0;  // drain resumes the round-robin at this tenant
-  std::atomic<bool> rejecting_{false};  // hysteresis state; atomic for lock-free observers
+  bool rejecting_ = false;  // hysteresis state
 };
 
 }  // namespace ufork

@@ -1,5 +1,7 @@
 #include "src/kernel/compaction_service.h"
 
+#include <algorithm>
+
 #include "src/base/check.h"
 #include "src/base/fault_injection.h"
 #include "src/kernel/kernel_core.h"
@@ -15,9 +17,6 @@ constexpr uint64_t kSweepFramesPerQuantum = 32;
 
 CompactionService::CompactionService(KernelCore& core)
     : core_(core), barrier_(core.sched()) {
-  UF_CHECK_MSG(core_.config().compact_budget_pages == 0 || core_.config().host_shards == 1,
-               "incremental compaction requires host_shards == 1: the service interleaves "
-               "mover quanta and mutators in one deterministic virtual timeline");
   barrier_.set_resume_delay(core_.config().costs.sched_wakeup);
   core_.machine().set_va_forwarder([this](uint64_t page_va) { return ForwardVa(page_va); });
 }
@@ -115,7 +114,7 @@ SimTask<void> CompactionService::RunService() {
         }
       }
     }
-    stats.pause_cycles_max.UpdateMax(sched.Now() - quantum_start);
+    stats.pause_cycles_max = std::max(stats.pause_cycles_max, sched.Now() - quantum_start);
     if (lock != nullptr) {
       lock->Release();
     }

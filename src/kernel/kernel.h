@@ -61,9 +61,6 @@ class Kernel : public KernelCore {
     files_.vfs().set_invalidate_hook([this](const void* key) { page_cache().EvictInode(key); });
     set_kernel_frame_refs_provider(
         [this](const std::function<void(FrameId)>& fn) { ipc_.ForEachShmFrame(fn); });
-    // Sharded-host mode: SIGKILLs that cross shards are queued by ProcService::Kill and
-    // replayed here, on the epoch coordinator at the next barrier (DESIGN.md §4.11).
-    set_cross_shard_kill_handler([this](Pid pid) { procs_.KillCrossShard(pid); });
   }
 
   // --- services -------------------------------------------------------------------------------

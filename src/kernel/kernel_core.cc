@@ -53,28 +53,13 @@ KernelCore::KernelCore(const KernelConfig& config, std::unique_ptr<ForkBackend> 
     : config_(config),
       policy_(IsolationPolicy::FromLevel(config.isolation)),
       layout_(config.layout),
-      sched_(config.cores, ShardConfig{config.host_shards, config.shard_epoch_quantum}),
+      sched_(config.cores),
       machine_(MachineConfig{config.phys_mem_bytes / kPageSize, config.costs}),
       address_space_(kUserBase, kUserTop),
       locks_(sched_, config.lock_mode),
       backend_(std::move(backend)),
       admission_(sched_, machine_.frames(), stats_, config.overload) {
   UF_CHECK_MSG(backend_ != nullptr, "a ForkBackend is required");
-  if (config_.host_shards > 1) {
-    // Real host threads need real mutual exclusion: kUncontended models a lock-free kernel in
-    // virtual time, which is fine single-threaded but unsound across workers.
-    UF_CHECK_MSG(config_.lock_mode != LockMode::kUncontended,
-                 "host_shards > 1 requires a lock mode with mutual exclusion");
-    host_locks_ = std::make_unique<HostLockDomainSet>(config_.lock_mode);
-    stat_concurrency_ = std::make_unique<StatCounter::ConcurrentModeHolder>();
-    machine_.frames().EnableSharding(config_.host_shards);
-    address_space_.EnableSharding();
-    shard_next_pid_.resize(static_cast<size_t>(config_.host_shards));
-    for (int shard = 0; shard < config_.host_shards; ++shard) {
-      shard_next_pid_[static_cast<size_t>(shard)] = shard + 1;
-    }
-    sched_.AddBarrierHook([this] { DrainCrossShardKills(); });
-  }
   machine_.set_cycle_sink([this](Cycles c) { sched_.Charge(c); });
   machine_.set_fault_resolver([this](const PageFaultInfo& info) {
     // Frames the resolver copies into are charged to the faulting μprocess's tenant (the
@@ -106,8 +91,7 @@ KernelCore::KernelCore(const KernelConfig& config, std::unique_ptr<ForkBackend> 
   // arm the controller at runtime via admission().Configure() — and free when idle: the hook
   // charges nothing and OnFramesFreed early-outs unless forkers are actually parked.
   machine_.frames().set_release_hook([this] { admission_.OnFramesFreed(); });
-  // Last: the service's constructor installs the machine VA forwarder and validates the
-  // compaction configuration against host_shards.
+  // Last: the service's constructor installs the machine VA forwarder.
   compaction_ = std::make_unique<CompactionService>(*this);
 }
 
@@ -121,11 +105,6 @@ Kernel& KernelCore::AsKernel() {
 // --- μprocess lookup -----------------------------------------------------------------------
 
 Uproc* KernelCore::FindUproc(Pid pid) {
-  std::shared_lock lk(table_mu_);
-  return FindUprocLocked(pid);
-}
-
-Uproc* KernelCore::FindUprocLocked(Pid pid) {
   auto it = uprocs_.find(pid);
   return it == uprocs_.end() ? nullptr : it->second.get();
 }
@@ -135,19 +114,17 @@ Uproc* KernelCore::UprocByAddress(uint64_t va) {
   if (!base.has_value()) {
     return nullptr;
   }
-  std::shared_lock lk(table_mu_);
   auto owner = region_by_base_.find(*base);
   if (owner == region_by_base_.end()) {
     return nullptr;
   }
-  Uproc* uproc = FindUprocLocked(owner->second);
+  Uproc* uproc = FindUproc(owner->second);
   return uproc != nullptr && uproc->state == Uproc::State::kRunning ? uproc : nullptr;
 }
 
 Uproc* KernelCore::UprocByPageTable(const PageTable* pt) {
-  std::shared_lock lk(table_mu_);
   auto it = pt_owners_.find(pt);
-  return it == pt_owners_.end() ? nullptr : FindUprocLocked(it->second);
+  return it == pt_owners_.end() ? nullptr : FindUproc(it->second);
 }
 
 Uproc& KernelCore::CurrentUproc() {
@@ -158,7 +135,6 @@ Uproc& KernelCore::CurrentUproc() {
 
 std::vector<Pid> KernelCore::LivePids() const {
   std::vector<Pid> pids;
-  std::shared_lock lk(table_mu_);
   for (const auto& [pid, uproc] : uprocs_) {
     if (uproc->state == Uproc::State::kRunning) {
       pids.push_back(pid);
@@ -169,7 +145,6 @@ std::vector<Pid> KernelCore::LivePids() const {
 
 std::vector<Pid> KernelCore::AllPids() const {
   std::vector<Pid> pids;
-  std::shared_lock lk(table_mu_);
   pids.reserve(uprocs_.size());
   for (const auto& [pid, uproc] : uprocs_) {
     pids.push_back(pid);
@@ -192,30 +167,14 @@ uint32_t KernelCore::SegmentFlagsAt(uint64_t offset) const {
 
 // --- μprocess construction ------------------------------------------------------------------
 
-Pid KernelCore::NextPid() {
-  if (shard_next_pid_.empty()) {
-    return next_pid_++;  // historical sequential pids at 1 shard
-  }
-  // Per-shard pid strides: the allocating shard's sequence depends only on its own
-  // deterministic execution, so pids — and the ShardOfPid placement derived from them —
-  // replay identically regardless of how the host interleaves the workers. Boot-time spawns
-  // (no shard context yet) draw from shard 0's stride.
-  const int shard = std::max(0, sched_.CurrentShardIndex());
-  Pid& next = shard_next_pid_[static_cast<size_t>(shard)];
-  const Pid pid = next;
-  next += static_cast<Pid>(shard_next_pid_.size());
-  return pid;
-}
-
 Uproc& KernelCore::CreateUprocShell(std::string name, Pid parent) {
-  std::unique_lock lk(table_mu_);
-  const Pid pid = NextPid();
+  const Pid pid = next_pid_++;
   auto uproc = std::make_unique<Uproc>(pid, sched_);
   uproc->name = std::move(name);
   uproc->parent_pid = parent;
   Uproc& ref = *uproc;
   uprocs_.emplace(pid, std::move(uproc));
-  if (Uproc* parent_proc = FindUprocLocked(parent)) {
+  if (Uproc* parent_proc = FindUproc(parent)) {
     parent_proc->children.push_back(pid);
     ref.tenant = parent_proc->tenant;  // the μprocess tree bills to one tenant (§4.10)
   }
@@ -225,42 +184,14 @@ Uproc& KernelCore::CreateUprocShell(std::string name, Pid parent) {
 void KernelCore::DestroyUprocShell(Uproc& uproc) {
   UF_CHECK_MSG(uproc.thread == kInvalidThread,
                "DestroyUprocShell is only for shells whose thread never started");
-  std::unique_lock lk(table_mu_);
-  if (Uproc* parent = FindUprocLocked(uproc.parent_pid)) {
+  if (Uproc* parent = FindUproc(uproc.parent_pid)) {
     auto& kids = parent->children;
     kids.erase(std::remove(kids.begin(), kids.end(), uproc.pid()), kids.end());
   }
   uprocs_.erase(uproc.pid());
 }
 
-void KernelCore::EraseUproc(Pid pid) {
-  std::unique_lock lk(table_mu_);
-  uprocs_.erase(pid);
-}
-
-void KernelCore::QueueCrossShardKill(Pid pid) {
-  std::lock_guard<std::mutex> lk(kill_mu_);
-  pending_cross_shard_kills_.push_back(pid);
-}
-
-void KernelCore::DrainCrossShardKills() {
-  std::vector<Pid> kills;
-  {
-    std::lock_guard<std::mutex> lk(kill_mu_);
-    kills.swap(pending_cross_shard_kills_);
-  }
-  if (kills.empty()) {
-    return;
-  }
-  UF_CHECK_MSG(cross_shard_kill_ != nullptr,
-               "cross-shard kill queued but no handler installed");
-  // Process in pid order: the arrival order across shards follows host timing, the set does
-  // not — sorting keeps the teardown sequence replayable.
-  std::sort(kills.begin(), kills.end());
-  for (const Pid pid : kills) {
-    cross_shard_kill_(pid);
-  }
-}
+void KernelCore::EraseUproc(Pid pid) { uprocs_.erase(pid); }
 
 Result<void> KernelCore::AllocateUprocMemory(Uproc& uproc, bool private_page_table) {
   uproc.size = layout_.TotalSize();
@@ -270,7 +201,6 @@ Result<void> KernelCore::AllocateUprocMemory(Uproc& uproc, bool private_page_tab
     uproc.base = kUserBase;
     uproc.owned_pt = std::make_unique<PageTable>();
     uproc.page_table = uproc.owned_pt.get();
-    std::unique_lock lk(table_mu_);
     pt_owners_[uproc.page_table] = uproc.pid();
   } else {
     UF_ASSIGN_OR_RETURN(uproc.base,
@@ -281,7 +211,6 @@ Result<void> KernelCore::AllocateUprocMemory(Uproc& uproc, bool private_page_tab
       // address-space accounting — population state lives in the page table.
       address_space_.MarkReserveOnly(uproc.base);
     }
-    std::unique_lock lk(table_mu_);
     region_by_base_[uproc.base] = uproc.pid();
   }
   uproc.mmap_cursor = uproc.base + layout_.mmap_off();
@@ -353,13 +282,8 @@ void KernelCore::StartUprocThread(Uproc& uproc, UprocEntry entry, int pinned_cor
       co_await kernel.SysExit(proc, 0);
     }
   };
-  // Deterministic placement (DESIGN.md §4.11): the μprocess is pinned for life to the shard
-  // keyed by its pid. An explicit core pin wins — the scheduler derives the shard from the
-  // core partition in that case.
-  const int shard_hint =
-      pinned_core >= 0 ? -1 : ShardOfPid(uproc.pid(), sched_.num_shards());
-  const ThreadId tid = sched_.Spawn(wrapper(AsKernel(), uproc, std::move(entry)), uproc.name,
-                                    pinned_core, shard_hint);
+  const ThreadId tid =
+      sched_.Spawn(wrapper(AsKernel(), uproc, std::move(entry)), uproc.name, pinned_core);
   uproc.thread = tid;
   uproc.threads.assign(1, tid);
   if (uproc.thread_exit_wait == nullptr) {
@@ -410,9 +334,7 @@ void KernelCore::ReleaseUprocMemory(Uproc& uproc) {
   }
   uproc.file_mappings.clear();
   if (uproc.owned_pt != nullptr) {
-    std::unique_lock lk(table_mu_);
     pt_owners_.erase(uproc.owned_pt.get());
-    lk.unlock();
     uproc.owned_pt.reset();
   } else if (frames_still_shared && uproc.forks_performed > 0) {
     // A fork parent exiting while children still share its frames: those frames may contain
@@ -434,7 +356,6 @@ void KernelCore::ReleaseUprocMemory(Uproc& uproc) {
     // Drop the region index entry — the owner is exiting, and UprocByAddress only ever
     // resolves to kRunning owners (tombstoned regions stay reserved in the address space, so
     // their bases cannot be reissued to a new μprocess).
-    std::unique_lock lk(table_mu_);
     region_by_base_.erase(uproc.base);
   }
   uproc.page_table = nullptr;
@@ -445,7 +366,6 @@ void KernelCore::ReleaseUprocMemory(Uproc& uproc) {
 }
 
 void KernelCore::RebaseRegionIndex(uint64_t old_base, uint64_t new_base, Pid pid) {
-  std::unique_lock lk(table_mu_);
   auto it = region_by_base_.find(old_base);
   if (it != region_by_base_.end() && it->second == pid) {
     region_by_base_.erase(it);
@@ -469,12 +389,9 @@ Result<void> KernelCore::CheckFrameAccounting() const {
     });
   };
   count_pt(shared_pt_);
-  {
-    std::shared_lock lk(table_mu_);
-    for (const auto& [pid, uproc] : uprocs_) {
-      if (uproc->owned_pt != nullptr) {
-        count_pt(*uproc->owned_pt);
-      }
+  for (const auto& [pid, uproc] : uprocs_) {
+    if (uproc->owned_pt != nullptr) {
+      count_pt(*uproc->owned_pt);
     }
   }
   if (kernel_frame_refs_) {
@@ -569,7 +486,6 @@ SimTask<Result<void>> KernelCore::CopyToUser(Uproc& caller, const Capability& ca
 
 uint64_t KernelCore::ReservedBytes() const {
   uint64_t pages = shared_pt_.not_present_pages();
-  std::shared_lock lk(table_mu_);
   for (const auto& [pid, uproc] : uprocs_) {
     if (uproc->owned_pt != nullptr) {
       pages += uproc->owned_pt->not_present_pages();

@@ -10,14 +10,11 @@
 
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
 #include "src/base/fault_injection.h"
-#include "src/base/stat_counter.h"
 #include "src/base/status.h"
 #include "src/cheri/capability.h"
 #include "src/kernel/admission.h"
@@ -31,7 +28,6 @@
 #include "src/mem/address_space.h"
 #include "src/mem/layout.h"
 #include "src/sched/scheduler.h"
-#include "src/sched/shard.h"
 #include "src/sched/sync.h"
 
 namespace ufork {
@@ -85,8 +81,7 @@ struct KernelConfig {
   bool demand_paging = false;
   // Incremental concurrent compaction (DESIGN.md §4.13). 0 (default) disables the background
   // service entirely — CompactAddressSpace remains the stop-the-world special case and every
-  // golden pin stays bit-identical. >0 bounds the pages relocated per service quantum and
-  // requires host_shards == 1.
+  // golden pin stays bit-identical. >0 bounds the pages relocated per service quantum.
   uint64_t compact_budget_pages = 0;
   Cycles compact_step_interval = 5'000;  // virtual gap between quanta (mutators run here)
   // Park freed and moved-from regions in the AddressSpace quarantine until the revocation
@@ -95,12 +90,6 @@ struct KernelConfig {
   bool quarantine_freed_regions = false;
   CompactionTriggerConfig compact_trigger;
   CostModel costs;
-  // Sharded-host execution (DESIGN.md §4.11): partition the simulated cores across this many
-  // host worker threads. 1 (default) runs the historical single-threaded loop bit-identically.
-  // Requires cores % host_shards == 0 and a real lock mode (kUncontended has no mutual
-  // exclusion and is rejected at shards > 1).
-  int host_shards = 1;
-  Cycles shard_epoch_quantum = 50'000;  // virtual-time window per epoch barrier
 };
 
 struct WaitResult {
@@ -108,56 +97,54 @@ struct WaitResult {
   int status = 0;
 };
 
-// Aggregated kernel counters surfaced by benchmarks and tests. Fields are StatCounters
-// (relaxed atomics reading/writing like plain uint64s) because shard workers increment them
-// concurrently in sharded-host mode; reads are taken at quiescent points.
+// Aggregated kernel counters surfaced by benchmarks and tests.
 struct KernelStats {
-  StatCounter forks;
-  StatCounter exits;
-  StatCounter syscalls;
-  StatCounter pages_copied_on_fault;
-  StatCounter caps_relocated_on_fault;
-  StatCounter caps_stripped;  // out-of-region capabilities invalidated during relocation
-  StatCounter tocttou_copies;
+  uint64_t forks = 0;
+  uint64_t exits = 0;
+  uint64_t syscalls = 0;
+  uint64_t pages_copied_on_fault = 0;
+  uint64_t caps_relocated_on_fault = 0;
+  uint64_t caps_stripped = 0;  // out-of-region capabilities invalidated during relocation
+  uint64_t tocttou_copies = 0;
   // Fault-around accounting (DESIGN.md §4.8). Page-accounting invariant across backends:
   //   faults_taken + pages_resolved_by_faultaround == pages_copied_on_fault +
   //   pages_reclaimed_in_place.
-  StatCounter faults_taken;                  // resolvable traps actually serviced
-  StatCounter pages_resolved_by_faultaround; // extra pages resolved beyond the faulting one
-  StatCounter pages_reclaimed_in_place;      // last-sharer pages reclaimed without a copy
-  StatCounter speculative_pages_wasted;      // fault-around pages never touched afterwards
-  StatCounter fault_cycles;                  // virtual cycles spent in resolvable-fault
-                                             // handling (incl. the page_fault trap cost)
-  StatCounter regions_tombstoned;  // regions kept reserved at exit (shared frames remain)
+  uint64_t faults_taken = 0;                   // resolvable traps actually serviced
+  uint64_t pages_resolved_by_faultaround = 0;  // extra pages resolved beyond the faulting one
+  uint64_t pages_reclaimed_in_place = 0;       // last-sharer pages reclaimed without a copy
+  uint64_t speculative_pages_wasted = 0;       // fault-around pages never touched afterwards
+  uint64_t fault_cycles = 0;                   // virtual cycles spent in resolvable-fault
+                                               // handling (incl. the page_fault trap cost)
+  uint64_t regions_tombstoned = 0;  // regions kept reserved at exit (shared frames remain)
   // Demand paging (DESIGN.md §4.12). Zero unless KernelConfig::demand_paging (or SysMmapFile
   // / SysSbrk, which exercise the page cache and lazy zones in any configuration).
-  StatCounter pages_demand_filled;  // reservations populated by the fault path
+  uint64_t pages_demand_filled = 0;  // reservations populated by the fault path
   // Overload control (DESIGN.md §4.10). All zero unless OverloadConfig::enabled.
-  StatCounter admission_trips;     // ADMITTING -> REJECTING transitions (low watermark hit)
-  StatCounter admission_rejected;  // fork/spawn refused with EAGAIN
-  StatCounter admission_parked;    // would-be forkers parked on the backpressure queue
-  StatCounter admission_resumed;   // parked forkers woken as frames freed
-  StatCounter parked_wait_cycles_max;  // longest park (virtual cycles) any forker endured
+  uint64_t admission_trips = 0;     // ADMITTING -> REJECTING transitions (low watermark hit)
+  uint64_t admission_rejected = 0;  // fork/spawn refused with EAGAIN
+  uint64_t admission_parked = 0;    // would-be forkers parked on the backpressure queue
+  uint64_t admission_resumed = 0;   // parked forkers woken as frames freed
+  uint64_t parked_wait_cycles_max = 0;  // longest park (virtual cycles) any forker endured
   // Incremental compaction + revocation (DESIGN.md §4.13). Zero unless compact_budget_pages>0
   // or a quarantine sweep ran. pause_cycles_max covers the stop-the-world path too, so the
   // frag-gate can compare STW pause against the incremental per-quantum maximum.
-  StatCounter compact_steps;          // service quanta that moved pages or swept frames
-  StatCounter compact_regions_moved;  // moves committed by the background service
-  StatCounter compact_parked;         // syscalls parked on the mid-move barrier
-  StatCounter pause_cycles_max;       // longest mutator-excluding pause (one quantum, or the
-                                      // whole pass for stop-the-world compaction)
-  StatCounter quarantined_bytes;      // cumulative bytes that entered quarantine
-  StatCounter caps_revoked;           // capabilities untagged by the revocation sweep
+  uint64_t compact_steps = 0;          // service quanta that moved pages or swept frames
+  uint64_t compact_regions_moved = 0;  // moves committed by the background service
+  uint64_t compact_parked = 0;         // syscalls parked on the mid-move barrier
+  uint64_t pause_cycles_max = 0;       // longest mutator-excluding pause (one quantum, or the
+                                       // whole pass for stop-the-world compaction)
+  uint64_t quarantined_bytes = 0;      // cumulative bytes that entered quarantine
+  uint64_t caps_revoked = 0;           // capabilities untagged by the revocation sweep
   // Crash containment (§4.9, DESIGN.md §4.14): unresolvable capability/translation faults
   // delivered as SIGSEGV to the faulting μprocess — never a host abort. The attack battery
   // asserts this count moves in lockstep with contained-crash exit statuses.
-  StatCounter faults_contained;
+  uint64_t faults_contained = 0;
   // Kernel entries per syscall id, indexed by Sys and incremented by SyscallScope::Enter.
   // Σ per_syscall == syscalls (delivery points such as check_signals enter no kernel section
   // and count in neither).
-  std::array<StatCounter, kNumSyscalls> per_syscall{};
+  std::array<uint64_t, kNumSyscalls> per_syscall{};
 
-  StatCounter& Count(Sys id) { return per_syscall[static_cast<size_t>(id)]; }
+  uint64_t& Count(Sys id) { return per_syscall[static_cast<size_t>(id)]; }
   uint64_t Count(Sys id) const { return per_syscall[static_cast<size_t>(id)]; }
 };
 
@@ -225,26 +212,9 @@ class KernelCore {
   Result<void> CheckFrameAccounting() const;
   void CheckFrameAccountingOrDie() const;
 
-  // The VIRTUAL lock guarding `domain` under the configured mode (nullptr: lock-free kernel,
-  // or sharded-host mode — there kernel sections serialize on real host mutexes instead, and
-  // virtual-time lock contention is not modeled).
-  VirtualLock* DomainLock(LockDomain domain) {
-    return host_locks_ != nullptr ? nullptr : locks_.Get(domain);
-  }
+  // The virtual lock guarding `domain` under the configured mode (nullptr: lock-free kernel).
+  VirtualLock* DomainLock(LockDomain domain) { return locks_.Get(domain); }
   LockMode lock_mode() const { return locks_.mode(); }
-  // Host mutexes for kernel sections; non-null exactly when config.host_shards > 1.
-  HostLockDomainSet* host_locks() { return host_locks_.get(); }
-
-  // --- cross-shard process teardown (DESIGN.md §4.11) -----------------------------------------
-  //
-  // SIGKILL aimed at a μprocess pinned to another shard cannot destroy that μprocess's thread
-  // mid-epoch (its coroutine frame may be live on the other worker's stack). The sender queues
-  // the kill here; the scheduler's epoch-barrier hook delivers the queued kills while all
-  // workers are parked, via the handler Kernel installs (ProcService::KillUproc).
-  void QueueCrossShardKill(Pid pid);
-  void set_cross_shard_kill_handler(std::function<void(Pid)> handler) {
-    cross_shard_kill_ = std::move(handler);
-  }
 
   // Wakeup latency for threads blocked on IPC objects: on SMP this is a cross-core IPI plus
   // remote scheduler entry; on a single core it is just a run-queue insertion.
@@ -327,10 +297,6 @@ class KernelCore {
   KernelCore(const KernelConfig& config, std::unique_ptr<ForkBackend> backend);
   ~KernelCore();
 
-  Uproc* FindUprocLocked(Pid pid);  // caller holds table_mu_
-  Pid NextPid();                    // caller holds table_mu_ exclusive
-  void DrainCrossShardKills();      // epoch-barrier hook (all workers parked)
-
   // The concrete Kernel layered on this core (KernelCore is only ever a Kernel base). Used to
   // hand the full syscall surface to μprocess entry functions.
   Kernel& AsKernel();
@@ -345,25 +311,12 @@ class KernelCore {
   LockDomainSet locks_;
   std::unique_ptr<ForkBackend> backend_;
 
-  // Process-table state. Shard workers create/look up/erase μprocesses concurrently, so the
-  // maps are guarded by table_mu_ (shared for the hot lookup paths, exclusive for mutation).
-  mutable std::shared_mutex table_mu_;
   std::map<Pid, std::unique_ptr<Uproc>> uprocs_;
   std::map<const PageTable*, Pid> pt_owners_;
   // SAS region-base -> pid index: makes UprocByAddress one map probe instead of a process-table
   // scan (it runs on every fault-side tenant lookup and relocation probe).
   std::map<uint64_t, Pid> region_by_base_;
-  Pid next_pid_ = 1;  // 1-shard mode: sequential pids, bit-identical to the historical kernel
-  // Sharded mode: shard s draws pids s+1, s+1+N, s+1+2N, ... — globally unique and dependent
-  // only on that shard's deterministic execution order, never on host interleaving.
-  std::vector<Pid> shard_next_pid_;
-  std::unique_ptr<HostLockDomainSet> host_locks_;  // non-null when host_shards > 1
-  // Held while sharded so StatCounter updates are real RMWs; single-shard kernels leave
-  // counters on the plain load/store fast path.
-  std::unique_ptr<StatCounter::ConcurrentModeHolder> stat_concurrency_;
-  std::mutex kill_mu_;
-  std::vector<Pid> pending_cross_shard_kills_;
-  std::function<void(Pid)> cross_shard_kill_;
+  Pid next_pid_ = 1;
   KernelStats stats_;
   FaultInjector fault_injector_;
   AdmissionController admission_;

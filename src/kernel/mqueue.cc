@@ -9,12 +9,7 @@ SimTask<Result<void>> MessageQueue::Send(std::vector<std::byte> message) {
   if (message.size() > kMqMaxMessageSize) {
     co_return Error{Code::kErrInval, "message too large"};
   }
-  // Condvar protocol against the other end on a different shard worker: check-and-mutate
-  // under state_mu_; when full, register in the wait queue BEFORE dropping the lock (so a
-  // receiver that frees a slot afterwards cannot miss the registration), then suspend
-  // unlocked — a host mutex must never be held across a coroutine suspension.
   for (;;) {
-    std::unique_lock<std::mutex> lk(state_mu_);
     if (messages_.size() < kMqMaxMessages) {
       if (injector_ != nullptr) {
         // All storage for the message is charged before it is enqueued: a failure mid-charge
@@ -29,24 +24,19 @@ SimTask<Result<void>> MessageQueue::Send(std::vector<std::byte> message) {
       receivers_wq_.Wake();
       co_return OkResult();
     }
-    auto wait = senders_wq_.PrepareWait();
-    lk.unlock();
-    co_await wait;
+    co_await senders_wq_.Wait();
   }
 }
 
 SimTask<Result<std::vector<std::byte>>> MessageQueue::Receive() {
   for (;;) {
-    std::unique_lock<std::mutex> lk(state_mu_);
     if (!messages_.empty()) {
       std::vector<std::byte> message = std::move(messages_.front());
       messages_.pop_front();
       senders_wq_.Wake();
       co_return message;
     }
-    auto wait = receivers_wq_.PrepareWait();
-    lk.unlock();
-    co_await wait;
+    co_await receivers_wq_.Wait();
   }
 }
 

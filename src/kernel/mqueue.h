@@ -42,10 +42,7 @@ class MessageQueue {
   SimTask<Result<void>> Send(std::vector<std::byte> message);
   SimTask<Result<std::vector<std::byte>>> Receive();
 
-  uint64_t depth() const {
-    std::lock_guard<std::mutex> lk(state_mu_);
-    return messages_.size();
-  }
+  uint64_t depth() const { return messages_.size(); }
 
  private:
   Scheduler& sched_;
@@ -53,10 +50,6 @@ class MessageQueue {
   FaultInjector* injector_;
   WaitQueue senders_wq_;
   WaitQueue receivers_wq_;
-  // Guards messages_: the queue's two ends can live on different shard workers, and the
-  // transfer runs outside the kFile domain lock (FileService leaves the kernel section before
-  // an operation that may block). Host-only — never held across a suspension, no cycle cost.
-  mutable std::mutex state_mu_;
   std::deque<std::vector<std::byte>> messages_;
 };
 

@@ -8,7 +8,6 @@ namespace ufork {
 
 Result<FrameId> PageCache::GetFrame(const std::shared_ptr<RamFs::Inode>& inode,
                                     uint64_t page_index) {
-  std::lock_guard<std::mutex> lk(mu_);
   const auto key = std::make_pair(static_cast<const void*>(inode.get()), page_index);
   auto it = pages_.find(key);
   if (it != pages_.end()) {
@@ -24,13 +23,10 @@ Result<FrameId> PageCache::GetFrame(const std::shared_ptr<RamFs::Inode>& inode,
   // footprint/throughput trade the fleet benchmarks measure.
   UF_ASSIGN_OR_RETURN(const FrameId frame, machine_.frames().Allocate());
   uint64_t copied = 0;
-  {
-    std::lock_guard<std::mutex> data_lk(inode->mu);
-    const uint64_t off = page_index * kPageSize;
-    if (off < inode->data.size()) {
-      copied = std::min<uint64_t>(kPageSize, inode->data.size() - off);
-      machine_.frames().frame(frame).Write(0, std::span(inode->data.data() + off, copied));
-    }
+  const uint64_t off = page_index * kPageSize;
+  if (off < inode->data.size()) {
+    copied = std::min<uint64_t>(kPageSize, inode->data.size() - off);
+    machine_.frames().frame(frame).Write(0, std::span(inode->data.data() + off, copied));
   }
   machine_.Charge(machine_.costs().frame_alloc + machine_.costs().VfsTransfer(copied));
   ++fills_;
@@ -40,7 +36,6 @@ Result<FrameId> PageCache::GetFrame(const std::shared_ptr<RamFs::Inode>& inode,
 }
 
 uint64_t PageCache::EvictInode(const void* inode_key) {
-  std::lock_guard<std::mutex> lk(mu_);
   uint64_t dropped = 0;
   auto it = pages_.lower_bound(std::make_pair(inode_key, uint64_t{0}));
   while (it != pages_.end() && it->first.first == inode_key) {
@@ -53,7 +48,6 @@ uint64_t PageCache::EvictInode(const void* inode_key) {
 }
 
 void PageCache::EvictAll() {
-  std::lock_guard<std::mutex> lk(mu_);
   for (auto& [key, entry] : pages_) {
     machine_.frames().Release(entry.frame);
     ++evictions_;
@@ -62,15 +56,9 @@ void PageCache::EvictAll() {
 }
 
 void PageCache::ForEachFrame(const std::function<void(FrameId)>& fn) const {
-  std::lock_guard<std::mutex> lk(mu_);
   for (const auto& [key, entry] : pages_) {
     fn(entry.frame);
   }
-}
-
-uint64_t PageCache::resident_pages() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return pages_.size();
 }
 
 }  // namespace ufork

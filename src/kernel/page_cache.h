@@ -16,11 +16,9 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <utility>
 
 #include "src/base/fault_injection.h"
-#include "src/base/stat_counter.h"
 #include "src/base/status.h"
 #include "src/kernel/vfs.h"
 #include "src/machine/machine.h"
@@ -53,10 +51,10 @@ class PageCache {
   // these as kernel-held refs alongside shm objects).
   void ForEachFrame(const std::function<void(FrameId)>& fn) const;
 
-  uint64_t hits() const { return hits_.value(); }
-  uint64_t fills() const { return fills_.value(); }
-  uint64_t evictions() const { return evictions_.value(); }
-  uint64_t resident_pages() const;
+  uint64_t hits() const { return hits_; }
+  uint64_t fills() const { return fills_; }
+  uint64_t evictions() const { return evictions_; }
+  uint64_t resident_pages() const { return pages_.size(); }
 
  private:
   struct Entry {
@@ -66,13 +64,10 @@ class PageCache {
 
   Machine& machine_;
   FaultInjector* injector_ = nullptr;
-  // Fills and evictions can run on concurrent shard workers (fault resolution happens
-  // outside any single lock domain). Host-only mutex, no virtual-time effect.
-  mutable std::mutex mu_;
   std::map<std::pair<const void*, uint64_t>, Entry> pages_;
-  StatCounter hits_{0};
-  StatCounter fills_{0};
-  StatCounter evictions_{0};
+  uint64_t hits_ = 0;
+  uint64_t fills_ = 0;
+  uint64_t evictions_ = 0;
 };
 
 }  // namespace ufork

@@ -22,13 +22,9 @@ PipeEnd::PipeEnd(std::shared_ptr<Pipe> pipe, bool is_writer)
   }
 }
 
-void PipeEnd::OnDup() {
-  std::lock_guard<std::mutex> lk(pipe_->state_mu_);
-  ++refs_;
-}
+void PipeEnd::OnDup() { ++refs_; }
 
 void PipeEnd::OnClose() {
-  std::lock_guard<std::mutex> lk(pipe_->state_mu_);
   UF_CHECK(refs_ > 0);
   if (--refs_ > 0) {
     return;
@@ -44,10 +40,6 @@ void PipeEnd::OnClose() {
   }
 }
 
-// Both transfer loops follow the condvar protocol: check-and-mutate the ring under state_mu_;
-// when the transfer must block, register in the wait queue BEFORE dropping the lock (so the
-// peer that changes the state afterwards cannot miss the registration), then suspend unlocked
-// — a host mutex must never be held across a coroutine suspension.
 SimTask<Result<int64_t>> PipeEnd::Read(std::span<std::byte> out) {
   if (is_writer_) {
     co_return Error{Code::kErrBadFd, "read on pipe write end"};
@@ -57,7 +49,6 @@ SimTask<Result<int64_t>> PipeEnd::Read(std::span<std::byte> out) {
   }
   Pipe& p = *pipe_;
   for (;;) {
-    std::unique_lock<std::mutex> lk(p.state_mu_);
     if (p.Available() > 0) {
       const uint64_t n = std::min<uint64_t>(out.size(), p.Available());
       for (uint64_t i = 0; i < n; ++i) {
@@ -71,9 +62,7 @@ SimTask<Result<int64_t>> PipeEnd::Read(std::span<std::byte> out) {
     if (p.writer_refs_ == 0) {
       co_return 0;  // EOF
     }
-    auto wait = p.readers_wq_.PrepareWait();
-    lk.unlock();
-    co_await wait;
+    co_await p.readers_wq_.Wait();
   }
 }
 
@@ -84,14 +73,11 @@ SimTask<Result<int64_t>> PipeEnd::Write(std::span<const std::byte> in) {
   Pipe& p = *pipe_;
   uint64_t written = 0;
   while (written < in.size()) {
-    std::unique_lock<std::mutex> lk(p.state_mu_);
     if (p.reader_refs_ == 0) {
       co_return Error{Code::kErrPipe, "write on pipe with no readers"};
     }
     if (p.Space() == 0) {
-      auto wait = p.writers_wq_.PrepareWait();
-      lk.unlock();
-      co_await wait;
+      co_await p.writers_wq_.Wait();
       continue;
     }
     if (p.injector_ != nullptr && p.injector_->ShouldFail(FaultSite::kPipeGrow)) {

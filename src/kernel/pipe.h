@@ -50,10 +50,6 @@ class Pipe {
   FaultInjector* injector_;
   WaitQueue readers_wq_;
   WaitQueue writers_wq_;
-  // Guards the ring buffer and both refcounts: the two ends can live on different shard
-  // workers, and transfers run outside the kFile domain lock (FileService leaves the kernel
-  // section before an operation that may block). Host-only — never held across a suspension.
-  mutable std::mutex state_mu_;
   std::vector<std::byte> buffer_;
   uint64_t head_ = 0;  // read position
   uint64_t fill_ = 0;

@@ -152,8 +152,8 @@ std::string KernelSummaryReport(Kernel& kernel) {
      << "  address space: " << kernel.address_space().Stats().region_count << " regions, "
      << std::fixed << std::setprecision(3)
      << kernel.address_space().Stats().ExternalFragmentation() << " external fragmentation\n";
-  if (kernel.config().compact_budget_pages > 0 || stats.quarantined_bytes.value() > 0 ||
-      stats.caps_revoked.value() > 0) {
+  if (kernel.config().compact_budget_pages > 0 || stats.quarantined_bytes > 0 ||
+      stats.caps_revoked > 0) {
     os << "  compaction: steps=" << stats.compact_steps
        << " regions moved=" << stats.compact_regions_moved
        << " parked at barrier=" << stats.compact_parked

@@ -218,30 +218,8 @@ SimTask<Result<void>> ProcService::Kill(Uproc& caller, Pid target, int signal) {
   if (victim == &caller) {
     co_return Error{Code::kErrInval, "SIGKILL to self: call exit()"};
   }
-  Scheduler& sched = kernel_.sched();
-  if (sched.num_shards() > 1 && sched.InParallelPhase() &&
-      sched.ThreadShard(victim->thread) != sched.CurrentShardIndex()) {
-    // Cross-shard SIGKILL (DESIGN.md §4.11): the victim's state — threads, descriptors, page
-    // mappings — is owned by its home shard, so teardown is deferred to the next epoch
-    // barrier, where the coordinator replays queued kills in pid order. POSIX-visible
-    // semantics are unchanged: kill(2) returns once the termination is committed, and the
-    // victim cannot observe the gap (it never runs again past the barrier).
-    kernel_.QueueCrossShardKill(victim->pid());
-    co_return OkResult();
-  }
   KillUproc(*victim);
   co_return OkResult();
-}
-
-void ProcService::KillCrossShard(Pid pid) {
-  // Epoch-coordinator context: no executing simulated thread, all shards quiescent. The
-  // victim may have exited, execed away, or been killed since the sender queued this —
-  // re-resolve and re-check liveness before tearing anything down.
-  Uproc* victim = kernel_.FindUproc(pid);
-  if (victim == nullptr || victim->state != Uproc::State::kRunning) {
-    return;
-  }
-  KillUproc(*victim);
 }
 
 SimTask<Result<void>> ProcService::Sigaction(Uproc& caller, int signal,
@@ -462,17 +440,8 @@ SimTask<Result<ThreadId>> ProcService::ThreadCreate(Uproc& caller, UprocEntry en
       proc.thread_exit_wait->WakeAll();
     }
   };
-  int affinity = caller.child_affinity;
-  if (sched.num_shards() > 1 && affinity >= 0 &&
-      sched.ShardOfCore(affinity) != sched.ThreadShard(caller.thread)) {
-    // μprocesses are shard-pinned (DESIGN.md §4.11): every thread of a μprocess must run in
-    // its home shard, so an affinity request for a foreign shard's core degrades to "any
-    // core in this shard". The decision is deterministic — both the home shard and the core
-    // partition are fixed at spawn.
-    affinity = -1;
-  }
   const ThreadId tid = sched.Spawn(wrapper(kernel_, caller, std::move(entry)),
-                                   caller.name + ":thr", affinity);
+                                   caller.name + ":thr", caller.child_affinity);
   sched.SetThreadContext(tid, &caller);
   caller.threads.push_back(tid);
   co_return tid;

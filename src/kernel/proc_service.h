@@ -67,11 +67,6 @@ class ProcService {
   // μprocess keep running. Does not return if the default action fires on the calling thread.
   SimTask<void> RaiseFault(Uproc& uproc, const Error& fault);
 
-  // Barrier-deferred SIGKILL delivery (sharded-host mode, DESIGN.md §4.11): runs on the epoch
-  // coordinator for each pid queued via KernelCore::QueueCrossShardKill. Re-resolves the
-  // victim — it may have exited between queueing and the barrier — and tears it down.
-  void KillCrossShard(Pid pid);
-
  private:
   // Overload admission (DESIGN.md §4.10): consulted before fork/spawn construct anything.
   // Parks the caller on the backpressure queue while the controller says kPark; returns

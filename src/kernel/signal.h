@@ -12,7 +12,6 @@
 #ifndef UFORK_SRC_KERNEL_SIGNAL_H_
 #define UFORK_SRC_KERNEL_SIGNAL_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -47,17 +46,6 @@ constexpr SignalDefault DefaultActionFor(int signal) {
 // child starts with an empty pending set; dispositions are inherited).
 class SignalState {
  public:
-  SignalState() = default;
-  // Moves happen only at single-threaded points (fork-time duplication, μprocess-table
-  // inserts); the relaxed copy of the pending mask is safe there.
-  SignalState(SignalState&& o) noexcept
-      : pending_(o.pending_.load(std::memory_order_relaxed)),
-        handlers_(std::move(o.handlers_)) {}
-  SignalState& operator=(SignalState&& o) noexcept {
-    pending_.store(o.pending_.load(std::memory_order_relaxed), std::memory_order_relaxed);
-    handlers_ = std::move(o.handlers_);
-    return *this;
-  }
 
   void SetHandler(int signal, SignalHandler handler) {
     handlers_[signal] = std::move(handler);
@@ -68,24 +56,18 @@ class SignalState {
     return it == handlers_.end() ? nullptr : &it->second;
   }
 
-  // The pending set is atomic so a sender on another host shard can raise a (non-KILL)
-  // signal directly — the mask is the one piece of μprocess state written cross-shard
-  // outside the mailbox path (DESIGN.md §4.11). Delivery stays shard-local.
-  void Raise(int signal) { pending_.fetch_or(1u << signal, std::memory_order_release); }
-  bool AnyPending() const { return pending_.load(std::memory_order_acquire) != 0; }
+  void Raise(int signal) { pending_ |= 1u << signal; }
+  bool AnyPending() const { return pending_ != 0; }
   // Removes and returns the lowest pending signal, or 0.
   int TakePending() {
-    uint32_t cur = pending_.load(std::memory_order_acquire);
-    while (cur != 0) {
-      // cur & (cur - 1) clears the lowest set bit — the signal being taken.
-      if (pending_.compare_exchange_weak(cur, cur & (cur - 1), std::memory_order_acq_rel,
-                                         std::memory_order_acquire)) {
-        return __builtin_ctz(cur);
-      }
+    if (pending_ == 0) {
+      return 0;
     }
-    return 0;
+    const int signal = __builtin_ctz(pending_);
+    pending_ &= pending_ - 1;  // clears the lowest set bit — the signal being taken
+    return signal;
   }
-  void ClearPending() { pending_.store(0, std::memory_order_release); }
+  void ClearPending() { pending_ = 0; }
 
   // fork-time duplication: dispositions inherited, pending set cleared.
   SignalState ForkCopy() const {
@@ -95,7 +77,7 @@ class SignalState {
   }
 
  private:
-  std::atomic<uint32_t> pending_{0};
+  uint32_t pending_ = 0;
   std::map<int, SignalHandler> handlers_;
 };
 

@@ -41,12 +41,6 @@ SimTask<Result<void>> SyscallScope::Enter() {
   lock_ = core_.DomainLock(desc_.domain);
   if (lock_ != nullptr) {
     co_await lock_->Acquire();
-  } else if ((host_locks_ = core_.host_locks()) != nullptr) {
-    // Sharded host: kernel sections serialize on a real mutex, keyed to the executing
-    // simulated thread so the release below can assert same-thread ownership. Blocking on a
-    // host mutex parks the WORKER, not the coroutine — legal because kernel sections never
-    // suspend while holding (blocking syscalls Leave() first).
-    host_locks_->Lock(desc_.domain, core_.sched().Current().tid());
   }
   // Frame grants made inside this kernel section bill to the caller's tenant (§4.10). Pure
   // host-side bookkeeping: no charge, no virtual-time effect.
@@ -75,8 +69,6 @@ SimTask<void> SyscallScope::Reacquire() {
   }
   if (lock_ != nullptr) {
     co_await lock_->Acquire();
-  } else if (host_locks_ != nullptr) {
-    host_locks_->Lock(desc_.domain, core_.sched().Current().tid());
   }
   open_ = true;
 }
@@ -87,10 +79,6 @@ void SyscallScope::ChargeExitAndRelease() {
   core_.machine().Charge(core_.costs().SyscallEntry(core_.backend().syscall_kind()) / 2);
   if (lock_ != nullptr) {
     lock_->Release();  // owner-checked: catches a scope leaked to a foreign thread
-  } else if (host_locks_ != nullptr) {
-    // Owner-checked against the executing simulated thread: a scope destroyed from a foreign
-    // thread (leaked coroutine frame) dies here rather than silently unlocking.
-    host_locks_->Unlock(desc_.domain, core_.sched().Current().tid());
   }
   open_ = false;
   if (core_.config().check_frame_invariants) [[unlikely]] {

@@ -59,9 +59,6 @@ class SyscallScope {
   Uproc& caller_;
   const SyscallDesc& desc_;
   VirtualLock* lock_ = nullptr;  // domain lock held while open (null: lock-free mode)
-  // Sharded-host mode: the domain's real host mutex instead (DESIGN.md §4.11). Exactly one of
-  // lock_/host_locks_ is non-null inside a kernel section; host mutexes charge no cycles.
-  HostLockDomainSet* host_locks_ = nullptr;
   bool entered_ = false;         // Enter() completed successfully at least once
   bool open_ = false;            // currently inside the kernel section
 };

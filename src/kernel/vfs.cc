@@ -17,10 +17,7 @@ Result<std::shared_ptr<OpenFile>> RamFs::Open(const std::string& path, uint32_t 
     it = inodes_.emplace(path, std::make_shared<Inode>()).first;
   }
   if ((flags & kOpenTrunc) != 0 && (flags & kOpenWrite) != 0) {
-    {
-      std::lock_guard<std::mutex> lk(it->second->mu);
-      it->second->data.clear();
-    }
+    it->second->data.clear();
     if (on_invalidate_) {
       on_invalidate_(it->second.get());
     }
@@ -69,7 +66,6 @@ Result<uint64_t> RamFs::FileSize(const std::string& path) const {
   if (it == inodes_.end()) {
     return Error{Code::kErrNoEnt, "stat: no such file"};
   }
-  std::lock_guard<std::mutex> lk(it->second->mu);
   return it->second->data.size();
 }
 
@@ -85,7 +81,6 @@ std::vector<std::string> RamFs::List() const {
 uint64_t RamFs::TotalBytes() const {
   uint64_t total = 0;
   for (const auto& [name, inode] : inodes_) {
-    std::lock_guard<std::mutex> lk(inode->mu);
     total += inode->data.size();
   }
   return total;
@@ -95,7 +90,6 @@ SimTask<Result<int64_t>> RamFileHandle::Read(std::span<std::byte> out) {
   if ((flags_ & kOpenRead) == 0) {
     co_return Error{Code::kErrBadFd, "read on write-only file"};
   }
-  std::lock_guard<std::mutex> lk(inode_->mu);
   const uint64_t size = inode_->data.size();
   if (offset_ >= size) {
     co_return 0;  // EOF
@@ -110,27 +104,24 @@ SimTask<Result<int64_t>> RamFileHandle::Write(std::span<const std::byte> in) {
   if ((flags_ & kOpenWrite) == 0) {
     co_return Error{Code::kErrBadFd, "write on read-only file"};
   }
-  {
-    std::lock_guard<std::mutex> lk(inode_->mu);
-    if ((flags_ & kOpenAppend) != 0) {
-      offset_ = inode_->data.size();
-    }
-    if (offset_ + in.size() > inode_->data.size()) {
-      if (injector_ != nullptr) {
-        // One probe per 4 KiB growth block, all checked before the resize: a failed write
-        // leaves both the file contents and its size untouched (ENOSPC, disk full).
-        const uint64_t growth = offset_ + in.size() - inode_->data.size();
-        for (uint64_t charged = 0; charged < growth; charged += kVfsBlockSize) {
-          if (injector_->ShouldFail(FaultSite::kVfsGrow)) {
-            co_return Error{Code::kErrNoSpc, "ramdisk block allocation failed (injected)"};
-          }
+  if ((flags_ & kOpenAppend) != 0) {
+    offset_ = inode_->data.size();
+  }
+  if (offset_ + in.size() > inode_->data.size()) {
+    if (injector_ != nullptr) {
+      // One probe per 4 KiB growth block, all checked before the resize: a failed write
+      // leaves both the file contents and its size untouched (ENOSPC, disk full).
+      const uint64_t growth = offset_ + in.size() - inode_->data.size();
+      for (uint64_t charged = 0; charged < growth; charged += kVfsBlockSize) {
+        if (injector_->ShouldFail(FaultSite::kVfsGrow)) {
+          co_return Error{Code::kErrNoSpc, "ramdisk block allocation failed (injected)"};
         }
       }
-      inode_->data.resize(offset_ + in.size());
     }
-    std::memcpy(inode_->data.data() + offset_, in.data(), in.size());
-    offset_ += in.size();
+    inode_->data.resize(offset_ + in.size());
   }
+  std::memcpy(inode_->data.data() + offset_, in.data(), in.size());
+  offset_ += in.size();
   if (invalidate_) {
     invalidate_(inode_.get());  // bytes changed: stale cached pages must not serve fills
   }
@@ -138,7 +129,6 @@ SimTask<Result<int64_t>> RamFileHandle::Write(std::span<const std::byte> in) {
 }
 
 Result<int64_t> RamFileHandle::Seek(int64_t offset, int whence) {
-  std::lock_guard<std::mutex> lk(inode_->mu);
   int64_t base = 0;
   switch (whence) {
     case kSeekSet:

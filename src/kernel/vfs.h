@@ -11,7 +11,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -44,10 +43,6 @@ class RamFs {
   using InvalidateFn = std::function<void(const void* inode_key)>;
 
   struct Inode {
-    // Guards data: handles to the same inode can live on different shard workers, and the
-    // transfer runs outside the kFile domain lock (FileService leaves the kernel section
-    // before an operation that may block). Host-only — no virtual-time effect.
-    mutable std::mutex mu;
     std::vector<std::byte> data;
     uint64_t link_count = 1;
   };

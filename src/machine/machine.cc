@@ -35,7 +35,7 @@ Result<Pte> Machine::TranslateForAccess(PageTable& pt, uint64_t page_va, uint64_
       info.is_write = is_write;
       info.page_table = &pt;
       Charge(costs_.page_fault);
-      demand_faults_.fetch_add(1, std::memory_order_relaxed);
+      ++demand_faults_;
       UF_RETURN_IF_ERROR(fault_resolver_(info));
       continue;  // retry with the populated mapping
     }
@@ -63,9 +63,9 @@ Result<Pte> Machine::TranslateForAccess(PageTable& pt, uint64_t page_va, uint64_
     info.page_table = &pt;
     Charge(costs_.page_fault);
     if (!perm_ok && (pte->flags & kPteCow) != 0) {
-      cow_faults_.fetch_add(1, std::memory_order_relaxed);
+      ++cow_faults_;
     } else {
-      cap_load_faults_.fetch_add(1, std::memory_order_relaxed);
+      ++cap_load_faults_;
     }
     UF_RETURN_IF_ERROR(fault_resolver_(info));
     // Retry with the updated mapping.
@@ -132,10 +132,8 @@ Result<void> Machine::Fill(PageTable& pt, const Capability& auth, uint64_t va, u
 
 Result<void> Machine::Copy(PageTable& pt, const Capability& dst_auth, uint64_t dst,
                            const Capability& src_auth, uint64_t src, uint64_t size) {
-  // Chunked through a per-host-thread bounce buffer; real guests use memcpy which the bulk
-  // cost models. The buffer grows to the high-water chunk size once per worker and is reused
-  // ever after — thread_local because shard workers copy concurrently through one machine.
-  static thread_local std::vector<std::byte> copy_scratch_;
+  // Chunked through a bounce buffer; real guests use memcpy which the bulk cost models. The
+  // buffer grows to the high-water chunk size once and is reused ever after.
   const uint64_t chunk_cap = std::min<uint64_t>(size, 64 * kKiB);
   if (copy_scratch_.size() < chunk_cap) {
     copy_scratch_.resize(chunk_cap);

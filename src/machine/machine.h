@@ -13,7 +13,6 @@
 #ifndef UFORK_SRC_MACHINE_MACHINE_H_
 #define UFORK_SRC_MACHINE_MACHINE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -122,13 +121,10 @@ class Machine {
   void KernelStoreCap(PageTable& pt, uint64_t va, const Capability& value);
   Result<Capability> KernelLoadCap(PageTable& pt, uint64_t va);
 
-  // Accounting: total resolvable faults serviced, by kind. Atomic: shard workers fault
-  // concurrently through the one shared machine (DESIGN.md §4.11).
-  uint64_t cow_faults() const { return cow_faults_.load(std::memory_order_relaxed); }
-  uint64_t cap_load_faults() const {
-    return cap_load_faults_.load(std::memory_order_relaxed);
-  }
-  uint64_t demand_faults() const { return demand_faults_.load(std::memory_order_relaxed); }
+  // Accounting: total resolvable faults serviced, by kind.
+  uint64_t cow_faults() const { return cow_faults_; }
+  uint64_t cap_load_faults() const { return cap_load_faults_; }
+  uint64_t demand_faults() const { return demand_faults_; }
 
  private:
   // Translates, checks page permissions, and resolves CoW/CoPA faults. Returns the PTE.
@@ -141,9 +137,10 @@ class Machine {
   std::function<void(Cycles)> cycle_sink_;
   FaultResolver fault_resolver_;
   VaForwarder va_forwarder_;
-  std::atomic<uint64_t> cow_faults_{0};
-  std::atomic<uint64_t> cap_load_faults_{0};
-  std::atomic<uint64_t> demand_faults_{0};
+  uint64_t cow_faults_ = 0;
+  uint64_t cap_load_faults_ = 0;
+  uint64_t demand_faults_ = 0;
+  std::vector<std::byte> copy_scratch_;  // Copy's bounce buffer, grown to the largest chunk
 };
 
 }  // namespace ufork

@@ -13,7 +13,6 @@ AddressSpace::AddressSpace(uint64_t lo, uint64_t hi) : lo_(lo), hi_(hi) {
 }
 
 void AddressSpace::EnableAslr(uint64_t seed) {
-  auto lk = WriteLock();
   aslr_rng_.emplace(seed);
 }
 
@@ -27,7 +26,6 @@ Result<uint64_t> AddressSpace::AllocateRegion(uint64_t size, uint64_t align) {
     // POSIX reports address-space exhaustion on fork/spawn/mmap as ENOMEM.
     return Error{Code::kErrNoMem, "address space exhausted (injected)"};
   }
-  auto lk = WriteLock();
   for (auto it = free_.begin(); it != free_.end(); ++it) {
     const uint64_t block_base = it->first;
     const uint64_t block_size = it->second;
@@ -63,7 +61,6 @@ Result<uint64_t> AddressSpace::AllocateRegionAt(uint64_t base, uint64_t size) {
   if (injector_ != nullptr && injector_->ShouldFail(FaultSite::kCompactTarget)) {
     return Error{Code::kErrNoSpc, "target range not free (injected)"};
   }
-  auto lk = WriteLock();
   // Find the free block containing [base, base+size).
   auto it = free_.upper_bound(base);
   if (it == free_.begin()) {
@@ -88,7 +85,6 @@ Result<uint64_t> AddressSpace::AllocateRegionAt(uint64_t base, uint64_t size) {
 
 std::optional<uint64_t> AddressSpace::FirstFitBase(uint64_t size, uint64_t align) const {
   size = AlignUp(size, kPageSize);
-  auto lk = ReadLock();
   for (const auto& [block_base, block_size] : free_) {
     const uint64_t aligned = AlignUp(block_base, align);
     if (aligned + size <= block_base + block_size && aligned + size >= aligned) {
@@ -99,7 +95,6 @@ std::optional<uint64_t> AddressSpace::FirstFitBase(uint64_t size, uint64_t align
 }
 
 void AddressSpace::FreeRegion(uint64_t base) {
-  auto lk = WriteLock();
   auto it = allocated_.find(base);
   UF_CHECK_MSG(it != allocated_.end(), "freeing an unallocated region");
   const uint64_t size = it->second;
@@ -109,7 +104,6 @@ void AddressSpace::FreeRegion(uint64_t base) {
 }
 
 void AddressSpace::QuarantineRegion(uint64_t base) {
-  auto lk = WriteLock();
   auto it = allocated_.find(base);
   UF_CHECK_MSG(it != allocated_.end(), "quarantining an unallocated region");
   const uint64_t size = it->second;
@@ -119,7 +113,6 @@ void AddressSpace::QuarantineRegion(uint64_t base) {
 }
 
 std::vector<QuarantinedRange> AddressSpace::QuarantinedRanges() const {
-  auto lk = ReadLock();
   std::vector<QuarantinedRange> ranges;
   ranges.reserve(quarantined_.size());
   for (const auto& [base, range] : quarantined_) {
@@ -133,7 +126,6 @@ std::vector<QuarantinedRange> AddressSpace::QuarantinedRanges() const {
 }
 
 void AddressSpace::ReleaseQuarantinedUpTo(uint64_t generation) {
-  auto lk = WriteLock();
   for (auto it = quarantined_.begin(); it != quarantined_.end();) {
     if (it->second.generation <= generation) {
       InsertFree(it->second.base, it->second.size);
@@ -145,18 +137,15 @@ void AddressSpace::ReleaseQuarantinedUpTo(uint64_t generation) {
 }
 
 uint64_t AddressSpace::quarantine_generation() const {
-  auto lk = ReadLock();
   return quarantine_gen_;
 }
 
 void AddressSpace::MarkReserveOnly(uint64_t base) {
-  auto lk = WriteLock();
   UF_CHECK_MSG(allocated_.count(base) != 0, "reserve-only tag on an unallocated region");
   reserve_only_.insert(base);
 }
 
 bool AddressSpace::IsReserveOnly(uint64_t base) const {
-  auto lk = ReadLock();
   return reserve_only_.count(base) != 0;
 }
 
@@ -179,7 +168,6 @@ void AddressSpace::InsertFree(uint64_t base, uint64_t size) {
 }
 
 std::optional<uint64_t> AddressSpace::RegionContaining(uint64_t addr) const {
-  auto lk = ReadLock();
   auto it = allocated_.upper_bound(addr);
   if (it == allocated_.begin()) {
     return std::nullopt;
@@ -193,7 +181,6 @@ std::optional<uint64_t> AddressSpace::RegionContaining(uint64_t addr) const {
 
 std::optional<std::pair<uint64_t, uint64_t>> AddressSpace::RegionContainingWithSize(
     uint64_t addr) const {
-  auto lk = ReadLock();
   auto it = allocated_.upper_bound(addr);
   if (it == allocated_.begin()) {
     return std::nullopt;
@@ -206,7 +193,6 @@ std::optional<std::pair<uint64_t, uint64_t>> AddressSpace::RegionContainingWithS
 }
 
 std::optional<uint64_t> AddressSpace::RegionSize(uint64_t base) const {
-  auto lk = ReadLock();
   auto it = allocated_.find(base);
   if (it == allocated_.end()) {
     return std::nullopt;
@@ -215,7 +201,6 @@ std::optional<uint64_t> AddressSpace::RegionSize(uint64_t base) const {
 }
 
 double AddressSpace::SlotFragmentation(uint64_t slot_bytes) const {
-  auto lk = ReadLock();
   if (allocated_.empty() || slot_bytes == 0) {
     return 0.0;
   }
@@ -234,7 +219,6 @@ double AddressSpace::SlotFragmentation(uint64_t slot_bytes) const {
 
 AddressSpaceStats AddressSpace::Stats() const {
   AddressSpaceStats stats;
-  auto lk = ReadLock();
   stats.total_bytes = hi_ - lo_;
   stats.region_count = allocated_.size();
   for (const auto& [base, size] : free_) {

@@ -12,7 +12,6 @@
 #include <map>
 #include <optional>
 #include <set>
-#include <shared_mutex>
 #include <utility>
 #include <vector>
 
@@ -107,10 +106,6 @@ class AddressSpace {
 
   void EnableAslr(uint64_t seed);
 
-  // Arms mu_: until called, all lock acquisitions are skipped (single host thread). Call once,
-  // before any shard worker starts, when the owning kernel runs with host_shards > 1.
-  void EnableSharding() { sharded_ = true; }
-
   // Fragmentation over the `slot_bytes`-sized allocation slots spanned by live regions: the
   // fraction of slots at or below the highest allocated region's slot that cover no allocated
   // byte. 0.0 when empty or packed against lo(); rises toward 1.0 as exits punch holes below
@@ -131,34 +126,9 @@ class AddressSpace {
  private:
   void InsertFree(uint64_t base, uint64_t size);
 
-  // Locks mu_ shared/exclusive — but only once EnableSharding() armed it. The relocation
-  // scanner probes this map once per copied page, so the unsharded path must stay lock-free
-  // (a shared_mutex round trip is two locked RMWs, measurable in TaggedPageCopyRelocate).
-  std::shared_lock<std::shared_mutex> ReadLock() const {
-    std::shared_lock<std::shared_mutex> lk(mu_, std::defer_lock);
-    if (sharded_) {
-      lk.lock();
-    }
-    return lk;
-  }
-  std::unique_lock<std::shared_mutex> WriteLock() const {
-    std::unique_lock<std::shared_mutex> lk(mu_, std::defer_lock);
-    if (sharded_) {
-      lk.lock();
-    }
-    return lk;
-  }
-
   uint64_t lo_;
   uint64_t hi_;
   FaultInjector* injector_ = nullptr;
-  bool sharded_ = false;
-  // Sharded hosts grant/free regions from concurrent shard workers (DESIGN.md §4.11): writers
-  // take mu_ exclusive, the hot read paths (relocation scans, stats) take it shared. Note the
-  // grant ORDER across shards follows host timing, so absolute region bases can vary run to
-  // run at shards>1 — the determinism contract covers guest-visible state, which must not be
-  // derived from absolute addresses (counts, sizes, and contents all are address-free).
-  mutable std::shared_mutex mu_;
   std::map<uint64_t, uint64_t> free_;            // base -> size, coalesced
   std::map<uint64_t, uint64_t> allocated_;       // base -> size
   std::set<uint64_t> reserve_only_;              // bases of demand-reserved regions

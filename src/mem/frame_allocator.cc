@@ -2,24 +2,9 @@
 
 #include <algorithm>
 
-#include "src/base/host_shard.h"
-
 namespace ufork {
 
-thread_local TenantId FrameAllocator::tls_current_tenant_ = kSystemTenant;
-
 FrameAllocator::FrameAllocator(uint64_t max_frames) : max_frames_(max_frames) {}
-
-void FrameAllocator::EnableSharding(int shards) {
-  UF_CHECK_MSG(!sharded_, "EnableSharding called twice");
-  UF_CHECK(shards >= 1);
-  // Pre-size the slot vector once: concurrent allocators index into it without a lock, so it
-  // must never reallocate again. Frame storage inside each slot stays lazy.
-  fresh_next_ = slots_.size();
-  slots_.resize(max_frames_);
-  caches_.resize(static_cast<size_t>(shards));
-  sharded_ = true;
-}
 
 Result<FrameId> FrameAllocator::Allocate() { return AllocateInternal(/*zero=*/true); }
 
@@ -34,7 +19,7 @@ Result<void> FrameAllocator::AllocateForCopy(std::span<FrameId> out) {
     if (!frame.ok()) {
       for (size_t j = 0; j < i; ++j) {
         Release(out[j]);
-        total_allocations_.fetch_sub(1, std::memory_order_relaxed);  // batch never happened
+        --total_allocations_;  // batch never happened
       }
       return frame.error();
     }
@@ -48,17 +33,14 @@ Result<FrameId> FrameAllocator::AllocateInternal(bool zero) {
     return Error{Code::kErrNoMem, "out of physical frames (injected)"};
   }
   const TenantId tenant = current_tenant();
-  if (caps_active_.load(std::memory_order_relaxed)) [[unlikely]] {
+  if (caps_active_) [[unlikely]] {
     if (!ChargeTenant(tenant)) {
-      tenant_cap_rejections_.fetch_add(1, std::memory_order_relaxed);
+      ++tenant_cap_rejections_;
       return Error{Code::kErrNoMem,
                    "tenant " + std::to_string(tenant) + " frame cap exceeded"};
     }
-  } else if (sharded_) {
-    std::lock_guard<std::mutex> lk(tenant_mu_);
-    ++tenant_frames_[tenant];
   } else {
-    ++tenant_frames_[tenant];  // single host thread: the ledger needs no lock
+    ++tenant_frames_[tenant];
   }
   auto id_or = TakeFreeId();
   if (!id_or.ok()) {
@@ -73,139 +55,40 @@ Result<FrameId> FrameAllocator::AllocateInternal(bool zero) {
     slot.frame->Reset();
   }
   slot.tenant = tenant;
-  // Publish the slot's contents (frame pointer, tenant) before the refcount flips it live.
-  // Unsharded mode has exactly one host thread, so plain load/store (no locked RMW) keeps
-  // this hot path at its pre-sharding cost.
-  if (sharded_) {
-    slot.refcount.store(1, std::memory_order_release);
-    const uint64_t in_use = frames_in_use_.fetch_add(1, std::memory_order_relaxed) + 1;
-    total_allocations_.fetch_add(1, std::memory_order_relaxed);
-    uint64_t peak = peak_frames_.load(std::memory_order_relaxed);
-    while (in_use > peak &&
-           !peak_frames_.compare_exchange_weak(peak, in_use, std::memory_order_relaxed)) {
-    }
-  } else {
-    slot.refcount.store(1, std::memory_order_relaxed);
-    const uint64_t in_use = frames_in_use_.load(std::memory_order_relaxed) + 1;
-    frames_in_use_.store(in_use, std::memory_order_relaxed);
-    total_allocations_.store(total_allocations_.load(std::memory_order_relaxed) + 1,
-                             std::memory_order_relaxed);
-    if (in_use > peak_frames_.load(std::memory_order_relaxed)) {
-      peak_frames_.store(in_use, std::memory_order_relaxed);
-    }
-  }
+  slot.refcount = 1;
+  ++frames_in_use_;
+  ++total_allocations_;
+  peak_frames_ = std::max(peak_frames_, frames_in_use_);
   return id;
 }
 
 Result<FrameId> FrameAllocator::TakeFreeId() {
-  if (!sharded_) {
-    if (!free_list_.empty()) {
-      const FrameId id = free_list_.back();
-      free_list_.pop_back();
-      return id;
-    }
-    if (slots_.size() >= max_frames_) {
-      return Error{Code::kErrNoMem, "out of physical frames"};
-    }
-    const FrameId id = slots_.size();
-    slots_.emplace_back();
-    return id;
-  }
-  const int shard = tls_host_shard;
-  if (shard < 0) {
-    return TakeFreeIdGlobal();  // coordinator / setup thread: straight to the pool
-  }
-  auto& cache = caches_[static_cast<size_t>(shard)].free;
-  if (cache.empty()) {
-    // Refill a batch from the global pool under one lock acquisition.
-    std::lock_guard<std::mutex> lk(pool_mu_);
-    for (size_t i = 0; i < kRefillBatch; ++i) {
-      if (!free_list_.empty()) {
-        cache.push_back(free_list_.back());
-        free_list_.pop_back();
-      } else if (fresh_next_ < max_frames_) {
-        cache.push_back(fresh_next_++);
-      } else {
-        break;
-      }
-    }
-    if (cache.empty()) {
-      return Error{Code::kErrNoMem, "out of physical frames"};
-    }
-  }
-  const FrameId id = cache.back();
-  cache.pop_back();
-  return id;
-}
-
-Result<FrameId> FrameAllocator::TakeFreeIdGlobal() {
-  std::lock_guard<std::mutex> lk(pool_mu_);
   if (!free_list_.empty()) {
     const FrameId id = free_list_.back();
     free_list_.pop_back();
     return id;
   }
-  if (fresh_next_ >= max_frames_) {
+  if (slots_.size() >= max_frames_) {
     return Error{Code::kErrNoMem, "out of physical frames"};
   }
-  return fresh_next_++;
-}
-
-void FrameAllocator::GiveFreeId(FrameId id) {
-  if (!sharded_) {
-    free_list_.push_back(id);
-    return;
-  }
-  const int shard = tls_host_shard;
-  if (shard < 0) {
-    std::lock_guard<std::mutex> lk(pool_mu_);
-    free_list_.push_back(id);
-    return;
-  }
-  auto& cache = caches_[static_cast<size_t>(shard)].free;
-  cache.push_back(id);
-  if (cache.size() >= kCacheMax) {
-    // Flush half back to the pool so a shard that only frees does not hoard the machine.
-    std::lock_guard<std::mutex> lk(pool_mu_);
-    const size_t keep = kCacheMax / 2;
-    free_list_.insert(free_list_.end(), cache.begin() + keep, cache.end());
-    cache.resize(keep);
-  }
+  const FrameId id = slots_.size();
+  slots_.emplace_back();
+  return id;
 }
 
 void FrameAllocator::AddRef(FrameId id) {
   UF_CHECK(IsLive(id));
-  if (sharded_) {
-    slots_[id].refcount.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    Slot& slot = slots_[id];
-    slot.refcount.store(slot.refcount.load(std::memory_order_relaxed) + 1,
-                        std::memory_order_relaxed);
-  }
+  ++slots_[id].refcount;
 }
 
 void FrameAllocator::Release(FrameId id) {
   UF_CHECK(id < slots_.size());
   Slot& slot = slots_[id];
-  // Release ordering so the next owner (who acquires via RefCount/IsLive) observes every
-  // write this sharer made through the frame. Unsharded: one host thread, plain ops.
-  uint32_t prev;
-  if (sharded_) {
-    prev = slot.refcount.fetch_sub(1, std::memory_order_acq_rel);
-  } else {
-    prev = slot.refcount.load(std::memory_order_relaxed);
-    slot.refcount.store(prev - 1, std::memory_order_relaxed);
-  }
-  UF_CHECK_MSG(prev > 0, "Release on a dead frame");
-  if (prev == 1) {
-    if (sharded_) {
-      frames_in_use_.fetch_sub(1, std::memory_order_relaxed);
-    } else {
-      frames_in_use_.store(frames_in_use_.load(std::memory_order_relaxed) - 1,
-                           std::memory_order_relaxed);
-    }
+  UF_CHECK_MSG(slot.refcount > 0, "Release on a dead frame");
+  if (--slot.refcount == 0) {
+    --frames_in_use_;
     UnchargeTenant(slot.tenant);
-    GiveFreeId(id);
+    free_list_.push_back(id);
     if (release_hook_) {
       release_hook_();
     }
@@ -214,26 +97,10 @@ void FrameAllocator::Release(FrameId id) {
 
 uint32_t FrameAllocator::RefCount(FrameId id) const {
   UF_CHECK(id < slots_.size());
-  return slots_[id].refcount.load(std::memory_order_acquire);
-}
-
-void FrameAllocator::set_current_tenant(TenantId tenant) {
-  if (sharded_) {
-    tls_current_tenant_ = tenant;
-  } else {
-    current_tenant_ = tenant;
-  }
-}
-
-TenantId FrameAllocator::current_tenant() const {
-  return sharded_ ? tls_current_tenant_ : current_tenant_;
+  return slots_[id].refcount;
 }
 
 bool FrameAllocator::ChargeTenant(TenantId tenant) {
-  std::unique_lock<std::mutex> lk(tenant_mu_, std::defer_lock);
-  if (sharded_) {
-    lk.lock();
-  }
   auto cap = tenant_caps_.find(tenant);
   uint64_t& charged = tenant_frames_[tenant];
   if (cap != tenant_caps_.end() && charged >= cap->second) {
@@ -244,13 +111,6 @@ bool FrameAllocator::ChargeTenant(TenantId tenant) {
 }
 
 void FrameAllocator::UnchargeTenant(TenantId tenant) {
-  if (!sharded_) {
-    auto charged = tenant_frames_.find(tenant);
-    UF_DCHECK(charged != tenant_frames_.end() && charged->second > 0);
-    --charged->second;
-    return;
-  }
-  std::lock_guard<std::mutex> lk(tenant_mu_);
   auto charged = tenant_frames_.find(tenant);
   UF_DCHECK(charged != tenant_frames_.end() && charged->second > 0);
   --charged->second;
@@ -258,17 +118,15 @@ void FrameAllocator::UnchargeTenant(TenantId tenant) {
 
 void FrameAllocator::SetTenantCap(TenantId tenant, uint64_t max_frames) {
   UF_CHECK_MSG(tenant != kSystemTenant, "the system tenant cannot be capped");
-  std::lock_guard<std::mutex> lk(tenant_mu_);
   if (max_frames == 0) {
     tenant_caps_.erase(tenant);
   } else {
     tenant_caps_[tenant] = max_frames;
   }
-  caps_active_.store(!tenant_caps_.empty(), std::memory_order_relaxed);
+  caps_active_ = !tenant_caps_.empty();
 }
 
 uint64_t FrameAllocator::TenantFrames(TenantId tenant) const {
-  std::lock_guard<std::mutex> lk(tenant_mu_);
   auto it = tenant_frames_.find(tenant);
   return it == tenant_frames_.end() ? 0 : it->second;
 }

@@ -5,22 +5,13 @@
 // residency metric the paper reports (§5.2 "we consider the proportional resident set as the
 // memory consumed by a process"). Frame storage is created lazily, so a simulated machine with
 // a large physical range costs host memory only for frames actually touched.
-//
-// Sharded-host mode (DESIGN.md §4.11): refcounts are atomics (release on decrement, acquire
-// on the last-sharer read, so a CoW claim-in-place observes every write the previous sharer
-// made through the frame), and each shard worker allocates from a private free-list cache
-// refilled in batches from the global pool under a lock — the classic SMP PMM pattern.
-// Frame ids are physical and never guest-visible, so racy batch handouts cannot perturb
-// guest-visible state; virtual cycle charges are made by callers and are id-independent.
 #ifndef UFORK_SRC_MEM_FRAME_ALLOCATOR_H_
 #define UFORK_SRC_MEM_FRAME_ALLOCATOR_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -48,12 +39,6 @@ class FrameAllocator {
   FrameAllocator(const FrameAllocator&) = delete;
   FrameAllocator& operator=(const FrameAllocator&) = delete;
 
-  // Switches to the thread-safe sharded allocation paths: slot storage is pre-sized (no more
-  // vector growth), and workers publishing a shard index in tls_host_shard allocate/free via
-  // per-shard caches. Must be called before any concurrent use; idempotent per shard count.
-  void EnableSharding(int shards);
-  bool sharded() const { return sharded_; }
-
   // Allocates a zeroed frame with refcount 1.
   Result<FrameId> Allocate();
 
@@ -75,8 +60,6 @@ class FrameAllocator {
   // Decrements the sharing count; frees the frame when it drops to zero.
   void Release(FrameId id);
 
-  // Acquire-ordered: a reader seeing refcount 1 observes all writes made by sharers that
-  // released their reference (the CoW claim-in-place decision relies on this).
   uint32_t RefCount(FrameId id) const;
 
   Frame& frame(FrameId id) {
@@ -88,20 +71,15 @@ class FrameAllocator {
     return *slots_[id].frame;
   }
 
-  bool IsLive(FrameId id) const {
-    return id < slots_.size() && slots_[id].refcount.load(std::memory_order_acquire) > 0;
-  }
+  bool IsLive(FrameId id) const { return id < slots_.size() && slots_[id].refcount > 0; }
 
-  uint64_t frames_in_use() const { return frames_in_use_.load(std::memory_order_relaxed); }
+  uint64_t frames_in_use() const { return frames_in_use_; }
   uint64_t bytes_in_use() const { return frames_in_use() * kPageSize; }
-  uint64_t peak_frames() const { return peak_frames_.load(std::memory_order_relaxed); }
-  uint64_t total_allocations() const {
-    return total_allocations_.load(std::memory_order_relaxed);
-  }
+  uint64_t peak_frames() const { return peak_frames_; }
+  uint64_t total_allocations() const { return total_allocations_; }
 
   // Watermark inputs (DESIGN.md §4.10): the admission controller keys off the free-frame
-  // count, which includes both recycled frames and never-grown slots. Frames parked in shard
-  // caches count as free (refcount 0, reserved for a shard but unused).
+  // count, which includes both recycled frames and never-grown slots.
   uint64_t max_frames() const { return max_frames_; }
   uint64_t free_frames() const { return max_frames_ - frames_in_use(); }
 
@@ -110,26 +88,20 @@ class FrameAllocator {
   // The kernel stamps the current tenant at every kernel entry (SyscallScope) and fault
   // resolution; each grant is charged to that tenant until the frame's last reference drops.
   // AddRef does not re-charge: a CoW-shared frame stays billed to its allocator.
-  // Sharded mode keeps the current tenant in thread-local storage (each shard worker stamps
-  // its own caller) and the per-tenant ledgers under a lock.
 
-  void set_current_tenant(TenantId tenant);
-  TenantId current_tenant() const;
+  void set_current_tenant(TenantId tenant) { current_tenant_ = tenant; }
+  TenantId current_tenant() const { return current_tenant_; }
 
   // Caps `tenant` at `max_frames` outstanding frames (0 = remove the cap). Grants beyond the
   // cap fail with kErrNoMem and count in tenant_cap_rejections(). kSystemTenant is uncappable.
   void SetTenantCap(TenantId tenant, uint64_t max_frames);
 
   uint64_t TenantFrames(TenantId tenant) const;
-  bool tenant_caps_active() const { return caps_active_.load(std::memory_order_relaxed); }
-  uint64_t tenant_cap_rejections() const {
-    return tenant_cap_rejections_.load(std::memory_order_relaxed);
-  }
+  bool tenant_caps_active() const { return caps_active_; }
+  uint64_t tenant_cap_rejections() const { return tenant_cap_rejections_; }
 
   // Invokes fn(tenant, frames) for every tenant with outstanding frames, in tenant order.
-  // Quiescent-only in sharded mode (reports, barriers).
   void ForEachTenant(const std::function<void(TenantId, uint64_t)>& fn) const {
-    std::lock_guard<std::mutex> lk(tenant_mu_);
     for (const auto& [tenant, frames] : tenant_frames_) {
       if (frames > 0) {
         fn(tenant, frames);
@@ -142,10 +114,10 @@ class FrameAllocator {
   void set_release_hook(std::function<void()> hook) { release_hook_ = std::move(hook); }
 
   // Invokes fn(id, refcount) for every live frame, in id order. Drives the frame-accounting
-  // invariant checker (KernelCore::CheckFrameAccounting). Quiescent-only in sharded mode.
+  // invariant checker (KernelCore::CheckFrameAccounting).
   void ForEachLive(const std::function<void(FrameId, uint32_t)>& fn) const {
     for (FrameId id = 0; id < slots_.size(); ++id) {
-      const uint32_t refs = slots_[id].refcount.load(std::memory_order_relaxed);
+      const uint32_t refs = slots_[id].refcount;
       if (refs > 0) {
         fn(id, refs);
       }
@@ -158,58 +130,27 @@ class FrameAllocator {
  private:
   struct Slot {
     std::unique_ptr<Frame> frame;
-    std::atomic<uint32_t> refcount{0};
+    uint32_t refcount = 0;
     TenantId tenant = kSystemTenant;  // billing owner while the slot is live
-
-    Slot() = default;
-    // Moves happen only while single-threaded (lazy vector growth in unsharded mode; the
-    // one-time pre-size in EnableSharding).
-    Slot(Slot&& o) noexcept
-        : frame(std::move(o.frame)),
-          refcount(o.refcount.load(std::memory_order_relaxed)),
-          tenant(o.tenant) {}
-    Slot& operator=(Slot&& o) noexcept {
-      frame = std::move(o.frame);
-      refcount.store(o.refcount.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-      tenant = o.tenant;
-      return *this;
-    }
   };
-
-  // Per-shard free-list cache: owner-thread-only by construction (indexed by tls_host_shard).
-  struct alignas(64) ShardCache {
-    std::vector<FrameId> free;
-  };
-
-  static constexpr size_t kRefillBatch = 32;  // frames pulled from the pool per refill
-  static constexpr size_t kCacheMax = 64;     // cache size that triggers a flush to the pool
 
   Result<FrameId> AllocateInternal(bool zero);
-  Result<FrameId> TakeFreeId();           // pops a recycled/fresh id, or kInvalidFrame
-  Result<FrameId> TakeFreeIdGlobal();     // pool path (pool_mu_ when sharded)
-  void GiveFreeId(FrameId id);
+  Result<FrameId> TakeFreeId();           // pops a recycled id or grows a fresh slot
   bool ChargeTenant(TenantId tenant);     // cap check + tentative charge
   void UnchargeTenant(TenantId tenant);
 
   uint64_t max_frames_;
   FaultInjector* injector_ = nullptr;
-  bool sharded_ = false;
   std::vector<Slot> slots_;
-  std::mutex pool_mu_;  // sharded mode: guards free_list_ and slot-range growth
   std::vector<FrameId> free_list_;
-  std::vector<ShardCache> caches_;
-  uint64_t fresh_next_ = 0;  // sharded mode: next never-used slot index (under pool_mu_)
-  std::atomic<uint64_t> frames_in_use_{0};
-  std::atomic<uint64_t> peak_frames_{0};
-  std::atomic<uint64_t> total_allocations_{0};
-  TenantId current_tenant_ = kSystemTenant;  // unsharded; sharded uses tls_current_tenant_
-  static thread_local TenantId tls_current_tenant_;
-  mutable std::mutex tenant_mu_;
+  uint64_t frames_in_use_ = 0;
+  uint64_t peak_frames_ = 0;
+  uint64_t total_allocations_ = 0;
+  TenantId current_tenant_ = kSystemTenant;
   std::map<TenantId, uint64_t> tenant_frames_;  // outstanding frames per tenant
   std::map<TenantId, uint64_t> tenant_caps_;    // grant-time ceilings (absent: uncapped)
-  std::atomic<bool> caps_active_{false};
-  std::atomic<uint64_t> tenant_cap_rejections_{0};
+  bool caps_active_ = false;
+  uint64_t tenant_cap_rejections_ = 0;
   std::function<void()> release_hook_;
 };
 

@@ -6,23 +6,20 @@
 
 namespace ufork {
 
-// Node pointers are atomics so shard workers can walk and extend the shared radix tree
-// concurrently (DESIGN.md §4.11): missing nodes are installed with compare-exchange (the
-// loser frees its node and adopts the winner's), and readers load with acquire so a published
-// node's storage is visible. Individual Pte slots need no atomics — each guest page belongs
-// to one μprocess, and μprocesses are pinned to shards, so two host threads never race on
-// the same PTE; only interior-node creation is cross-shard.
 struct PageTable::Table {
-  // Interior levels use children; the leaf level uses ptes. Allocated lazily.
-  std::array<std::atomic<Table*>, kFanout> children{};
-  std::atomic<std::array<Pte, kFanout>*> ptes{nullptr};
-
+  Table() = default;
+  Table(const Table&) = delete;
+  Table& operator=(const Table&) = delete;
   ~Table() {
-    for (auto& child : children) {
-      delete child.load(std::memory_order_relaxed);
+    for (Table* child : children) {
+      delete child;
     }
-    delete ptes.load(std::memory_order_relaxed);
+    delete ptes;
   }
+
+  // Interior levels use children; the leaf level uses ptes. Allocated lazily, owned here.
+  std::array<Table*, kFanout> children{};
+  std::array<Pte, kFanout>* ptes = nullptr;
 };
 
 PageTable::PageTable() : root_(std::make_unique<Table>()), node_count_(1) {}
@@ -32,51 +29,37 @@ Pte* PageTable::Walk(uint64_t va, bool create) {
   UF_DCHECK(va < kVaTop);
   Table* t = root_.get();
   for (int level = 0; level < kLevels - 1; ++level) {
-    auto& slot = t->children[IndexAt(va, level)];
-    Table* child = slot.load(std::memory_order_acquire);
+    Table*& child = t->children[IndexAt(va, level)];
     if (child == nullptr) {
       if (!create) {
         return nullptr;
       }
-      Table* fresh = new Table();
-      if (slot.compare_exchange_strong(child, fresh, std::memory_order_acq_rel,
-                                       std::memory_order_acquire)) {
-        child = fresh;
-        ++node_count_;
-      } else {
-        delete fresh;  // another shard installed the node first
-      }
+      child = new Table();
+      ++node_count_;
     }
     t = child;
   }
-  auto* ptes = t->ptes.load(std::memory_order_acquire);
-  if (ptes == nullptr) {
+  if (t->ptes == nullptr) {
     if (!create) {
       return nullptr;
     }
-    auto* fresh = new std::array<Pte, kFanout>();
-    if (t->ptes.compare_exchange_strong(ptes, fresh, std::memory_order_acq_rel,
-                                        std::memory_order_acquire)) {
-      ptes = fresh;
-      ++node_count_;
-    } else {
-      delete fresh;
-    }
+    t->ptes = new std::array<Pte, kFanout>();
+    ++node_count_;
   }
-  return &(*ptes)[IndexAt(va, kLevels - 1)];
+  return &(*t->ptes)[IndexAt(va, kLevels - 1)];
 }
 
 const Pte* PageTable::WalkConst(uint64_t va) const {
   UF_DCHECK(va < kVaTop);
   const Table* t = root_.get();
   for (int level = 0; level < kLevels - 1; ++level) {
-    const Table* child = t->children[IndexAt(va, level)].load(std::memory_order_acquire);
+    const Table* child = t->children[IndexAt(va, level)];
     if (child == nullptr) {
       return nullptr;
     }
     t = child;
   }
-  const auto* ptes = t->ptes.load(std::memory_order_acquire);
+  const auto* ptes = t->ptes;
   if (ptes == nullptr) {
     return nullptr;
   }
@@ -174,7 +157,7 @@ void PageTable::ForEachMapped(uint64_t lo, uint64_t hi,
     for (int level = 0; level < kLevels - 1; ++level) {
       const int shift = 12 + kBitsPerLevel * (kLevels - 1 - level);
       skip = 1ULL << shift;
-      Table* child = t->children[IndexAt(va, level)].load(std::memory_order_acquire);
+      Table* child = t->children[IndexAt(va, level)];
       if (child == nullptr) {
         missing = true;
         break;
@@ -185,7 +168,7 @@ void PageTable::ForEachMapped(uint64_t lo, uint64_t hi,
       va = AlignDown(va, skip) + skip;
       continue;
     }
-    auto* ptes = t->ptes.load(std::memory_order_acquire);
+    auto* ptes = t->ptes;
     if (ptes == nullptr) {
       va = AlignDown(va, kPageSize * kFanout) + kPageSize * kFanout;
       continue;

@@ -14,14 +14,12 @@
 #define UFORK_SRC_MEM_PAGE_TABLE_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <span>
 
-#include "src/base/stat_counter.h"
 #include "src/base/status.h"
 #include "src/mem/frame_allocator.h"
 
@@ -107,13 +105,13 @@ class PageTable {
   std::optional<uint64_t> FindUnmappedRun(uint64_t lo, uint64_t hi, uint64_t pages) const;
 
   // In-use slots: populated frames plus not-present reservations.
-  uint64_t mapped_pages() const { return mapped_pages_.value(); }
+  uint64_t mapped_pages() const { return mapped_pages_; }
   // Reservations awaiting their first touch (demand paging); mapped but frame-less.
-  uint64_t not_present_pages() const { return not_present_pages_.value(); }
+  uint64_t not_present_pages() const { return not_present_pages_; }
   // Slots actually holding a frame — the table's contribution to resident memory.
   uint64_t resident_pages() const { return mapped_pages() - not_present_pages(); }
   // Number of radix nodes allocated — the "page table memory" a real kernel would spend.
-  uint64_t node_count() const { return node_count_.value(); }
+  uint64_t node_count() const { return node_count_; }
 
  private:
   static constexpr int kLevels = 4;
@@ -131,10 +129,9 @@ class PageTable {
   const Pte* WalkConst(uint64_t va) const;
 
   std::unique_ptr<Table> root_;
-  // StatCounters: locked RMWs only while a sharded host is live (hot on fork map/unmap).
-  StatCounter mapped_pages_{0};
-  StatCounter not_present_pages_{0};
-  StatCounter node_count_{0};
+  uint64_t mapped_pages_ = 0;
+  uint64_t not_present_pages_ = 0;
+  uint64_t node_count_ = 0;
 };
 
 }  // namespace ufork

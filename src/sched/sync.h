@@ -12,9 +12,7 @@
 #define UFORK_SRC_SCHED_SYNC_H_
 
 #include <array>
-#include <atomic>
 #include <memory>
-#include <mutex>
 
 #include "src/sched/scheduler.h"
 #include "src/sched/task.h"
@@ -138,57 +136,6 @@ class LockDomainSet {
  private:
   LockMode mode_;
   std::array<std::unique_ptr<VirtualLock>, kNumLockDomains> locks_;
-};
-
-// Host-thread mutual exclusion for kernel sections in sharded mode (DESIGN.md §4.11).
-//
-// When the scheduler runs shards on real host threads, VirtualLocks no longer provide mutual
-// exclusion (they model contention in virtual time but assume one host thread). The kernel
-// instead takes a real std::mutex per lock domain, mapped exactly like LockDomainSet maps
-// VirtualLocks: kBigKernelLock folds every domain onto one mutex, kPerService gives each
-// domain its own. kUncontended is rejected by the kernel when sharded — real threads need
-// real exclusion. Host mutex hold times charge no virtual cycles: cross-shard kernel-section
-// contention is a host-level artifact, not part of the simulated machine.
-//
-// Lock/Unlock record the owning simulated thread so SyscallScope can assert that the thread
-// releasing a domain is the thread that acquired it (the executing-thread ownership check).
-class HostLockDomainSet {
- public:
-  explicit HostLockDomainSet(LockMode mode) : mode_(mode) {
-    for (auto& owner : owners_) {
-      owner.store(kInvalidThread, std::memory_order_relaxed);
-    }
-  }
-
-  HostLockDomainSet(const HostLockDomainSet&) = delete;
-  HostLockDomainSet& operator=(const HostLockDomainSet&) = delete;
-
-  void Lock(LockDomain domain, ThreadId owner) {
-    const size_t i = IndexOf(domain);
-    mutexes_[i].lock();
-    owners_[i].store(owner, std::memory_order_relaxed);
-  }
-
-  void Unlock(LockDomain domain, ThreadId owner) {
-    const size_t i = IndexOf(domain);
-    UF_CHECK_MSG(owners_[i].load(std::memory_order_relaxed) == owner,
-                 "domain host mutex released by a thread that does not own it");
-    owners_[i].store(kInvalidThread, std::memory_order_relaxed);
-    mutexes_[i].unlock();
-  }
-
-  ThreadId OwnerOf(LockDomain domain) const {
-    return owners_[IndexOf(domain)].load(std::memory_order_relaxed);
-  }
-
- private:
-  size_t IndexOf(LockDomain domain) const {
-    return mode_ == LockMode::kBigKernelLock ? 0 : static_cast<size_t>(domain);
-  }
-
-  LockMode mode_;
-  std::array<std::mutex, kNumLockDomains> mutexes_;
-  std::array<std::atomic<ThreadId>, kNumLockDomains> owners_;
 };
 
 inline const char* LockModeName(LockMode mode) {

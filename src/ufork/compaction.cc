@@ -317,7 +317,8 @@ Result<CompactionStats> CompactAddressSpace(Kernel& kernel) {
     (void)mover->Step(0);
   }
 
-  kernel.stats().pause_cycles_max.UpdateMax(kernel.sched().Now() - pause_start);
+  KernelStats& kstats = kernel.stats();
+  kstats.pause_cycles_max = std::max(kstats.pause_cycles_max, kernel.sched().Now() - pause_start);
   stats.bytes_reclaimed_contiguity = as.Stats().largest_free_block - before_largest;
   return stats;
 }

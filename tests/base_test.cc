@@ -1,11 +1,10 @@
-// Tests for the base utilities: Result<T>, deterministic RNG, running statistics, units and
-// alignment helpers, cost-model arithmetic.
+// Tests for the base utilities: Result<T>, deterministic RNG, units and alignment helpers,
+// cost-model arithmetic.
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "src/base/rng.h"
-#include "src/base/stats.h"
 #include "src/base/status.h"
 #include "src/base/units.h"
 #include "src/machine/cost_model.h"
@@ -104,29 +103,6 @@ TEST(RngTest, NextDoubleInUnitInterval) {
     EXPECT_GE(d, 0.0);
     EXPECT_LT(d, 1.0);
   }
-}
-
-// --- RunningStats --------------------------------------------------------------------------
-
-TEST(StatsTest, MeanAndStddev) {
-  RunningStats stats;
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) {
-    stats.Add(v);
-  }
-  EXPECT_EQ(stats.count(), 8u);
-  EXPECT_DOUBLE_EQ(stats.mean(), 5.0);
-  EXPECT_NEAR(stats.stddev(), 2.138, 0.001);  // sample stddev
-  EXPECT_DOUBLE_EQ(stats.min(), 2.0);
-  EXPECT_DOUBLE_EQ(stats.max(), 9.0);
-}
-
-TEST(StatsTest, EmptyAndSingle) {
-  RunningStats stats;
-  EXPECT_EQ(stats.count(), 0u);
-  EXPECT_DOUBLE_EQ(stats.variance(), 0.0);
-  stats.Add(3.5);
-  EXPECT_DOUBLE_EQ(stats.mean(), 3.5);
-  EXPECT_DOUBLE_EQ(stats.stddev(), 0.0);
 }
 
 // --- units ---------------------------------------------------------------------------------

@@ -17,13 +17,13 @@
 // $GITHUB_RUN_ID-derived one so the fleet explores fresh schedules while any failure stays
 // replayable from the logged seed).
 //
-// UFORK_SOAK_COMPACT=1 (single-shard only) additionally runs the storm with the incremental
-// compaction service live: budgeted region moves, freed-region quarantine, and the budgeted
-// revocation sweep, with the kCompactStep / kRevokeSweep sites armed alongside everything
-// else. A mid-step hit must leave the struck region whole at one base and the quarantine
-// consistent, and the per-seed replay must still be bit-identical. After each run the
-// quarantine is drained and the revocation invariant is proved: no tagged capability bounded
-// inside a freed-and-swept range survives in any live frame.
+// UFORK_SOAK_COMPACT=1 additionally runs the storm with the incremental compaction service
+// live: budgeted region moves, freed-region quarantine, and the budgeted revocation sweep,
+// with the kCompactStep / kRevokeSweep sites armed alongside everything else. A mid-step hit
+// must leave the struck region whole at one base and the quarantine consistent, and the
+// per-seed replay must still be bit-identical. After each run the quarantine is drained and
+// the revocation invariant is proved: no tagged capability bounded inside a freed-and-swept
+// range survives in any live frame.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -44,25 +44,10 @@ constexpr int kIterations = 3;
 constexpr int kWorkerFailedExit = 42;  // a worker saw an injected errno and bailed out
 constexpr double kFailureProbability = 0.02;
 
-// Sharded-host soak (DESIGN.md §4.11, the CI TSan job): UFORK_SOAK_SHARDS=N runs the same
-// storm on N concurrent shard workers. Fault-site hit order then follows host timing, so the
-// per-seed replay equality below is shards=1-only; the sharded soak proves containment and
-// leak-freedom under real host concurrency instead.
-int SoakShards() {
-  if (const char* s = std::getenv("UFORK_SOAK_SHARDS"); s != nullptr) {
-    const int shards = std::atoi(s);
-    if (shards > 1) {
-      return shards;
-    }
-  }
-  return 1;
-}
-
-// UFORK_SOAK_COMPACT=1: storm with the incremental compaction service live. Single-shard
-// only — the service interleaves mover quanta with mutators on one virtual timeline.
+// UFORK_SOAK_COMPACT=1: storm with the incremental compaction service live.
 bool SoakCompact() {
   const char* s = std::getenv("UFORK_SOAK_COMPACT");
-  return s != nullptr && std::atoi(s) != 0 && SoakShards() == 1;
+  return s != nullptr && std::atoi(s) != 0;
 }
 
 KernelConfig SoakConfig(bool demand_paging, bool compact) {
@@ -84,10 +69,7 @@ KernelConfig SoakConfig(bool demand_paging, bool compact) {
   config.layout.stack_size = 32 * kKiB;
   config.layout.tls_size = 4 * kKiB;
   config.layout.mmap_size = 64 * kKiB;
-  config.host_shards = SoakShards();
-  // The per-syscall-exit frame-accounting walk is race-free only with one shard; the
-  // post-run check in RunSoak (all shards quiescent) still runs either way.
-  config.check_frame_invariants = config.host_shards == 1;
+  config.check_frame_invariants = true;
   return config;
 }
 
@@ -293,16 +275,11 @@ void SoakSystem(const char* name, KernelFactory make, bool demand_paging = false
   for (const uint64_t seed : seeds) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const SoakRun first = RunSoak(make, seed, demand_paging, compact);
-    if (SoakShards() == 1) {
-      // Replay bit-identity is a single-shard property: with concurrent shard workers the
-      // injector's hit order — and therefore which μprocess a probabilistic policy strikes —
-      // follows host timing. RunSoak's containment and leak checks hold at any shard count.
-      const SoakRun replay = RunSoak(make, seed, demand_paging, compact);
-      EXPECT_EQ(first.completion, replay.completion)
-          << "chaos run is not a pure function of the seed";
-      EXPECT_EQ(first.failures_injected, replay.failures_injected);
-      ExpectStatsEq(first.stats, replay.stats, seed);
-    }
+    const SoakRun replay = RunSoak(make, seed, demand_paging, compact);
+    EXPECT_EQ(first.completion, replay.completion)
+        << "chaos run is not a pure function of the seed";
+    EXPECT_EQ(first.failures_injected, replay.failures_injected);
+    ExpectStatsEq(first.stats, replay.stats, seed);
     total_failures += first.failures_injected;
     total_forks += first.stats.forks;
     total_syscalls += first.stats.syscalls;

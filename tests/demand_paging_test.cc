@@ -68,7 +68,7 @@ TEST(DemandPaging, SpawnReservesAndFirstTouchZeroFills) {
     CO_ASSERT_TRUE(pt.not_present_pages() > 0);
     const uint64_t resident0 = pt.resident_pages();
     const uint64_t reserved0 = pt.not_present_pages();
-    const uint64_t filled0 = g.kernel().stats().pages_demand_filled.value();
+    const uint64_t filled0 = g.kernel().stats().pages_demand_filled;
 
     // An untouched heap-top page: reads as zero (fresh frame), then round-trips a store.
     const uint64_t va =
@@ -84,7 +84,7 @@ TEST(DemandPaging, SpawnReservesAndFirstTouchZeroFills) {
     // The fault populated at least the touched page and billed it as a demand fill.
     CO_ASSERT_TRUE(pt.resident_pages() > resident0);
     CO_ASSERT_TRUE(pt.not_present_pages() < reserved0);
-    CO_ASSERT_TRUE(g.kernel().stats().pages_demand_filled.value() > filled0);
+    CO_ASSERT_TRUE(g.kernel().stats().pages_demand_filled > filled0);
     CO_ASSERT_TRUE(g.kernel().machine().demand_faults() > 0);
   });
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <set>
 
 #include "src/base/rng.h"
@@ -22,6 +23,11 @@ struct ForkConfig {
   ForkStrategy strategy = ForkStrategy::kCopa;
   IsolationLevel isolation = IsolationLevel::kFull;
 };
+
+// gtest prints each parameter into the test's ctest name. Without a printer it dumps the
+// struct's bytes, starting with the `name` pointer, so the names would change with every
+// relink.
+void PrintTo(const ForkConfig& fc, std::ostream* os) { *os << fc.name; }
 
 std::unique_ptr<Kernel> MakeKernel(const ForkConfig& fc) {
   KernelConfig config;

@@ -2,6 +2,9 @@
 // message-queue boundaries, VFS seek/append/rename behaviour, and descriptor-table mechanics.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/baseline/system.h"
 #include "src/guest/guest.h"
 #include "tests/guest_test_util.h"
@@ -111,6 +114,63 @@ TEST(PipeSemantics, BytesArriveInOrderAcrossManyWrites) {
     }
     (void)co_await g.Wait();
   });
+}
+
+// Many concurrent ping-pong pairs: each root forks a partner and bounces a token through a
+// down pipe and an up pipe, so every round blocks and wakes both sides on 4 cores.
+constexpr int kPairs = 8;
+constexpr int kRounds = 16;
+constexpr uint64_t kTokenBytes = 8;
+
+TEST(PipeSemantics, PingPongAcrossForkManyPairs) {
+  KernelConfig config;
+  config.cores = 4;
+  config.layout.heap_size = 1 * kMiB;
+  auto kernel = MakeUforkKernel(config);
+  std::vector<int> statuses;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    GuestFn root = [&statuses](Guest& g) -> SimTask<void> {
+      auto down = co_await g.Pipe();  // parent -> child
+      CO_ASSERT_OK(down);
+      auto up = co_await g.Pipe();  // child -> parent
+      CO_ASSERT_OK(up);
+      const auto [drfd, dwfd] = *down;
+      const auto [urfd, uwfd] = *up;
+      auto child = co_await g.Fork(
+          [drfd = drfd, dwfd = dwfd, urfd = urfd, uwfd = uwfd](Guest& cg) -> SimTask<void> {
+            (void)co_await cg.Close(dwfd);
+            (void)co_await cg.Close(urfd);
+            auto buf = cg.Malloc(kTokenBytes);
+            CO_ASSERT_OK(buf);
+            for (int round = 0; round < kRounds; ++round) {
+              auto n = co_await cg.Read(drfd, *buf, kTokenBytes);
+              CO_ASSERT_OK(n);
+              CO_ASSERT_EQ(static_cast<uint64_t>(*n), kTokenBytes);
+              CO_ASSERT_OK(co_await cg.Write(uwfd, *buf, kTokenBytes));
+            }
+            co_await cg.Exit(7);
+          });
+      CO_ASSERT_OK(child);
+      CO_ASSERT_OK(co_await g.Close(drfd));
+      CO_ASSERT_OK(co_await g.Close(uwfd));
+      auto token = g.Malloc(kTokenBytes);
+      CO_ASSERT_OK(token);
+      for (int round = 0; round < kRounds; ++round) {
+        CO_ASSERT_OK(co_await g.Write(dwfd, *token, kTokenBytes));
+        auto n = co_await g.Read(urfd, *token, kTokenBytes);
+        CO_ASSERT_OK(n);
+        CO_ASSERT_EQ(static_cast<uint64_t>(*n), kTokenBytes);
+      }
+      CO_ASSERT_OK(co_await g.Close(dwfd));
+      auto waited = co_await g.Wait();
+      CO_ASSERT_OK(waited);
+      statuses.push_back(waited->status);
+    };
+    auto pid = kernel->Spawn(MakeGuestEntry(std::move(root)), "pp" + std::to_string(pair));
+    ASSERT_TRUE(pid.ok());
+  }
+  kernel->Run();
+  EXPECT_EQ(statuses, std::vector<int>(kPairs, 7));
 }
 
 // --- message queues ------------------------------------------------------------------------

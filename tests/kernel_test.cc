@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "tests/guest_test_util.h"
 
 #include "src/baseline/system.h"
@@ -272,27 +275,42 @@ TEST(Kernel, MmapAnonReturnsBoundedCapability) {
   kernel->Run();
 }
 
+// Several roots each SIGKILL three sleeping children and reap them all.
 TEST(Kernel, KillTerminatesTarget) {
+  constexpr int kRoots = 4;
+  constexpr int kVictimsPerRoot = 3;
   auto kernel = MakeUforkKernel(SmallConfig());
-  bool victim_finished = false;
-  auto pid = kernel->Spawn(
-      MakeGuestEntry([&victim_finished](Guest& g) -> SimTask<void> {
-        auto child_pid = co_await g.Fork([&victim_finished](Guest& cg) -> SimTask<void> {
-          co_await cg.Nanosleep(Seconds(100));
-          victim_finished = true;  // must never run
-          co_await cg.Exit(0);
-        });
-        CO_ASSERT_TRUE(child_pid.ok());
-        co_await g.Nanosleep(Milliseconds(1));
-        CO_ASSERT_TRUE((co_await g.Kill(*child_pid)).ok());
-        auto waited = co_await g.Wait();
-        CO_ASSERT_TRUE(waited.ok());
-        EXPECT_EQ(waited->status, -9);
-      }),
-      "killer");
-  ASSERT_TRUE(pid.ok());
+  int victims_finished = 0;
+  std::vector<int> statuses;
+  for (int root = 0; root < kRoots; ++root) {
+    auto pid = kernel->Spawn(
+        MakeGuestEntry([&victims_finished, &statuses](Guest& g) -> SimTask<void> {
+          std::vector<Pid> victims;
+          for (int v = 0; v < kVictimsPerRoot; ++v) {
+            auto child_pid = co_await g.Fork([&victims_finished](Guest& cg) -> SimTask<void> {
+              co_await cg.Nanosleep(Seconds(100));
+              ++victims_finished;  // must never run
+              co_await cg.Exit(0);
+            });
+            CO_ASSERT_TRUE(child_pid.ok());
+            victims.push_back(*child_pid);
+          }
+          co_await g.Nanosleep(Milliseconds(1));
+          for (const Pid victim : victims) {
+            CO_ASSERT_TRUE((co_await g.Kill(victim)).ok());
+          }
+          for (int v = 0; v < kVictimsPerRoot; ++v) {
+            auto waited = co_await g.Wait();
+            CO_ASSERT_TRUE(waited.ok());
+            statuses.push_back(waited->status);
+          }
+        }),
+        "killer" + std::to_string(root));
+    ASSERT_TRUE(pid.ok());
+  }
   kernel->Run();
-  EXPECT_FALSE(victim_finished);
+  EXPECT_EQ(victims_finished, 0);
+  EXPECT_EQ(statuses, std::vector<int>(kRoots * kVictimsPerRoot, -9));
 }
 
 TEST(Kernel, PrivilegedOpDeniedToUserCode) {
