@@ -13,9 +13,9 @@ namespace {
 
 void StrategyAblation(::benchmark::State& state, ForkStrategy strategy) {
   SystemConfig sc;
-  sc.layout = RedisLayout();
-  sc.strategy = strategy;
-  sc.phys_mem_bytes = 4 * kGiB;
+  sc.kernel.layout = RedisLayout();
+  sc.kernel.strategy = strategy;
+  sc.kernel.phys_mem_bytes = 4 * kGiB;
   const uint64_t db_bytes = 10 * kMiB;
   for (auto _ : state) {
     const RedisRunResult result = RunRedisBgSave(sc, db_bytes);
@@ -39,8 +39,8 @@ BENCHMARK_CAPTURE(StrategyAblation, UnsafeCoW, ForkStrategy::kUnsafeCow)
 // confinement and kernel checks, kFault adds them, kFull adds TOCTTOU bounce buffering.
 void IsolationAblation(::benchmark::State& state, IsolationLevel isolation) {
   SystemConfig sc;
-  sc.layout = HelloLayout();
-  sc.isolation = isolation;
+  sc.kernel.layout = HelloLayout();
+  sc.kernel.isolation = isolation;
   for (auto _ : state) {
     Context1Result result;
     RunGuestMain(sc, [&result](Guest& g) -> SimTask<void> {
@@ -61,7 +61,7 @@ BENCHMARK_CAPTURE(IsolationAblation, full, IsolationLevel::kFull)
 // Unixbench execl analogue: exec-chain cost per image replacement in the SAS.
 void ExeclAblation(::benchmark::State& state) {
   SystemConfig sc;
-  sc.layout = HelloLayout();
+  sc.kernel.layout = HelloLayout();
   for (auto _ : state) {
     auto kernel = MakeSystem(sc);
     RegisterExeclHop(*kernel);
@@ -83,8 +83,8 @@ BENCHMARK(ExeclAblation)->Iterations(2)->UseManualTime()->Unit(::benchmark::kMil
 void ForkLatencyVsImageSize(::benchmark::State& state) {
   const uint64_t heap_mb = static_cast<uint64_t>(state.range(0));
   SystemConfig sc;
-  sc.layout.heap_size = heap_mb * kMiB;
-  sc.phys_mem_bytes = 3 * kGiB;
+  sc.kernel.layout.heap_size = heap_mb * kMiB;
+  sc.kernel.phys_mem_bytes = 3 * kGiB;
   for (auto _ : state) {
     auto kernel = MakeSystem(sc);
     Cycles latency = 0;

@@ -50,9 +50,9 @@ void BM_AttackBattery_VmClone(::benchmark::State& state) {
       state, [](KernelConfig c) { return MakeVmCloneKernel(std::move(c)); }, "vmclone");
 }
 
-BENCHMARK(BM_AttackBattery_Ufork)->Arg(0)->Arg(1)->UseManualTime();
-BENCHMARK(BM_AttackBattery_Mas)->Arg(0)->Arg(1)->UseManualTime();
-BENCHMARK(BM_AttackBattery_VmClone)->Arg(0)->Arg(1)->UseManualTime();
+BENCHMARK(BM_AttackBattery_Ufork)->Arg(0)->Arg(1)->Iterations(2)->UseManualTime();
+BENCHMARK(BM_AttackBattery_Mas)->Arg(0)->Arg(1)->Iterations(2)->UseManualTime();
+BENCHMARK(BM_AttackBattery_VmClone)->Arg(0)->Arg(1)->Iterations(2)->UseManualTime();
 
 }  // namespace
 }  // namespace bench

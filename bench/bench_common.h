@@ -91,32 +91,16 @@ inline LayoutConfig HttpdLayout() {
 // --- kernel construction ------------------------------------------------------------------------
 
 struct SystemConfig {
+  // The calibrated figures run on 3 GiB of simulated memory, not KernelConfig's 2 GiB.
+  SystemConfig() { kernel.phys_mem_bytes = 3 * kGiB; }
+
   System system = System::kUfork;
-  LayoutConfig layout;
-  int cores = 4;
-  ForkStrategy strategy = ForkStrategy::kCopa;
-  IsolationLevel isolation = IsolationLevel::kFull;
-  uint64_t phys_mem_bytes = 3 * kGiB;
+  KernelConfig kernel;
   double mas_allocator_dirty_fraction = 0.0;
-  FaultAroundConfig fault_around;  // default: disabled (window=1), as in the calibrated figures
-  bool demand_paging = false;  // fault-driven population + reservations (DESIGN.md §4.12)
-  // Incremental concurrent compaction (DESIGN.md §4.13): >0 bounds the pages relocated per
-  // background-service quantum; 0 keeps the stop-the-world-only historical behaviour.
-  uint64_t compact_budget_pages = 0;
-  bool quarantine_freed_regions = false;  // Cornucopia-style revocation quarantine
 };
 
 inline std::unique_ptr<Kernel> MakeSystem(const SystemConfig& sc) {
-  KernelConfig config;
-  config.layout = sc.layout;
-  config.cores = sc.cores;
-  config.strategy = sc.strategy;
-  config.isolation = sc.isolation;
-  config.phys_mem_bytes = sc.phys_mem_bytes;
-  config.fault_around = sc.fault_around;
-  config.demand_paging = sc.demand_paging;
-  config.compact_budget_pages = sc.compact_budget_pages;
-  config.quarantine_freed_regions = sc.quarantine_freed_regions;
+  KernelConfig config = sc.kernel;
   switch (sc.system) {
     case System::kUfork:
       return MakeUforkKernel(config);

@@ -98,8 +98,8 @@ StormResult RunRedisUpdateStorm(const SystemConfig& sc, uint64_t entries) {
 void FaultStormRedis(::benchmark::State& state) {
   SystemConfig sc;
   sc.system = System::kUfork;
-  sc.layout = RedisLayout();
-  sc.fault_around = WindowParam(state.range(0));
+  sc.kernel.layout = RedisLayout();
+  sc.kernel.fault_around = WindowParam(state.range(0));
   for (auto _ : state) {
     const StormResult result = RunRedisUpdateStorm(sc, /*entries=*/20);  // 2 MB database
     ReportStorm(state, result);
@@ -148,8 +148,8 @@ StormResult RunZygoteStorm(const SystemConfig& sc) {
 void FaultStormZygote(::benchmark::State& state) {
   SystemConfig sc;
   sc.system = System::kUfork;
-  sc.layout = FaasLayout();
-  sc.fault_around = WindowParam(state.range(0));
+  sc.kernel.layout = FaasLayout();
+  sc.kernel.fault_around = WindowParam(state.range(0));
   for (auto _ : state) {
     const StormResult result = RunZygoteStorm(sc);
     ReportStorm(state, result);

@@ -15,7 +15,7 @@ void RedisSave(::benchmark::State& state, System system) {
   const uint64_t db_bytes = static_cast<uint64_t>(state.range(0)) * 100 * kKiB;
   SystemConfig sc;
   sc.system = system;
-  sc.layout = RedisLayout();
+  sc.kernel.layout = RedisLayout();
   sc.mas_allocator_dirty_fraction = 0.55;  // jemalloc dirtying model, see EXPERIMENTS.md
   for (auto _ : state) {
     const RedisRunResult result = RunRedisBgSave(sc, db_bytes);

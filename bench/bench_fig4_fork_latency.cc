@@ -17,9 +17,9 @@ void RedisForkLatency(::benchmark::State& state, System system, ForkStrategy str
   const uint64_t db_bytes = static_cast<uint64_t>(state.range(0)) * 100 * kKiB;
   SystemConfig sc;
   sc.system = system;
-  sc.layout = RedisLayout();
-  sc.strategy = strategy;
-  sc.isolation = isolation;
+  sc.kernel.layout = RedisLayout();
+  sc.kernel.strategy = strategy;
+  sc.kernel.isolation = isolation;
   for (auto _ : state) {
     const RedisRunResult result = RunRedisBgSave(sc, db_bytes);
     SetIterationCycles(state, result.fork_latency);

@@ -18,10 +18,10 @@ void RedisChildMemory(::benchmark::State& state, System system, ForkStrategy str
   const uint64_t db_bytes = static_cast<uint64_t>(state.range(0)) * 100 * kKiB;
   SystemConfig sc;
   sc.system = system;
-  sc.layout = RedisLayout();
-  sc.strategy = strategy;
+  sc.kernel.layout = RedisLayout();
+  sc.kernel.strategy = strategy;
   sc.mas_allocator_dirty_fraction = dirty_fraction;
-  sc.phys_mem_bytes = 4 * kGiB;  // the full-copy strategy holds two 140 MB images
+  sc.kernel.phys_mem_bytes = 4 * kGiB;  // the full-copy strategy holds two 140 MB images
   for (auto _ : state) {
     const RedisRunResult result = RunRedisBgSave(sc, db_bytes);
     // The figure's metric is memory, not time; report both.

@@ -17,9 +17,9 @@ void FaasThroughput(::benchmark::State& state, System system, IsolationLevel iso
   const int worker_cores = static_cast<int>(state.range(0));
   SystemConfig sc;
   sc.system = system;
-  sc.layout = FaasLayout();
-  sc.cores = 1 + worker_cores;  // coordinator core + function cores
-  sc.isolation = isolation;
+  sc.kernel.layout = FaasLayout();
+  sc.kernel.cores = 1 + worker_cores;  // coordinator core + function cores
+  sc.kernel.isolation = isolation;
   for (auto _ : state) {
     ZygoteResult result;
     RunGuestMain(

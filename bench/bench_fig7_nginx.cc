@@ -22,9 +22,9 @@ void NginxThroughput(::benchmark::State& state, System system, int cores,
   const int workers = static_cast<int>(state.range(0));
   SystemConfig sc;
   sc.system = system;
-  sc.layout = HttpdLayout();
-  sc.cores = cores;
-  sc.isolation = isolation;
+  sc.kernel.layout = HttpdLayout();
+  sc.kernel.cores = cores;
+  sc.kernel.isolation = isolation;
   for (auto _ : state) {
     HttpdResult result;
     HttpdParams params;

@@ -49,7 +49,7 @@ HelloResult RunHelloFork(const SystemConfig& sc) {
 void HelloFork(::benchmark::State& state, System system) {
   SystemConfig sc;
   sc.system = system;
-  sc.layout = HelloLayout();
+  sc.kernel.layout = HelloLayout();
   for (auto _ : state) {
     const HelloResult result = RunHelloFork(sc);
     SetIterationCycles(state, result.fork_latency);

@@ -14,7 +14,7 @@ namespace {
 void UnixbenchSpawnBench(::benchmark::State& state, System system) {
   SystemConfig sc;
   sc.system = system;
-  sc.layout = HelloLayout();
+  sc.kernel.layout = HelloLayout();
   for (auto _ : state) {
     SpawnResult result;
     RunGuestMain(sc, [&result](Guest& g) -> SimTask<void> {
@@ -29,7 +29,7 @@ void UnixbenchSpawnBench(::benchmark::State& state, System system) {
 void UnixbenchContext1Bench(::benchmark::State& state, System system) {
   SystemConfig sc;
   sc.system = system;
-  sc.layout = HelloLayout();
+  sc.kernel.layout = HelloLayout();
   for (auto _ : state) {
     Context1Result result;
     RunGuestMain(sc, [&result](Guest& g) -> SimTask<void> {

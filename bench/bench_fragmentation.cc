@@ -24,7 +24,7 @@ void FragmentationCompaction(::benchmark::State& state) {
   const int survivors = static_cast<int>(state.range(0));
   for (auto _ : state) {
     SystemConfig sc;
-    sc.layout = HelloLayout();
+    sc.kernel.layout = HelloLayout();
     auto kernel = MakeSystem(sc);
     kernel->sched().set_allow_blocked_exit(true);
     // Interleave short-lived and parked μprocesses, then let the short-lived ones exit:
@@ -79,9 +79,9 @@ void FragmentationCompactionIncremental(::benchmark::State& state) {
   const int survivors = static_cast<int>(state.range(0));
   for (auto _ : state) {
     SystemConfig sc;
-    sc.layout = HelloLayout();
-    sc.compact_budget_pages = 8;
-    sc.quarantine_freed_regions = true;
+    sc.kernel.layout = HelloLayout();
+    sc.kernel.compact_budget_pages = 8;
+    sc.kernel.quarantine_freed_regions = true;
     auto kernel = MakeSystem(sc);
     kernel->sched().set_allow_blocked_exit(true);
     for (int i = 0; i < survivors; ++i) {
@@ -129,10 +129,10 @@ BENCHMARK(FragmentationCompactionIncremental)
 void SpawnVsForkExec(::benchmark::State& state, bool use_spawn) {
   const uint64_t heap_mb = static_cast<uint64_t>(state.range(0));
   SystemConfig sc;
-  sc.layout.heap_size = heap_mb * kMiB;
+  sc.kernel.layout.heap_size = heap_mb * kMiB;
   for (auto _ : state) {
     auto kernel = MakeSystem(sc);
-    kernel->RegisterProgram("noop", MakeGuestEntry([](Guest& g) -> SimTask<void> {
+    kernel->procs().RegisterProgram("noop", MakeGuestEntry([](Guest& g) -> SimTask<void> {
       co_await g.Exit(0);
     }));
     Cycles elapsed = 0;

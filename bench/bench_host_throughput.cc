@@ -81,7 +81,7 @@ constexpr int kForksPerRun = 20;
 void SimulatedFork(::benchmark::State& state, System system) {
   SystemConfig sc;
   sc.system = system;
-  sc.layout = HelloLayout();
+  sc.kernel.layout = HelloLayout();
   for (auto _ : state) {
     RunGuestMain(sc, [](Guest& g) -> SimTask<void> {
       for (int i = 0; i < kForksPerRun; ++i) {
@@ -113,8 +113,8 @@ constexpr int kFleetForksPerRoot = 8;
 // (CoW work on the shared machine); `forks_per_hsec` is fork round trips per host second.
 void ForkFleetThroughput(::benchmark::State& state) {
   SystemConfig sc;
-  sc.layout = HelloLayout();
-  sc.cores = 4;
+  sc.kernel.layout = HelloLayout();
+  sc.kernel.cores = 4;
   for (auto _ : state) {
     auto kernel = MakeSystem(sc);
     for (int root = 0; root < kFleetRoots; ++root) {
@@ -165,13 +165,13 @@ void HttpdFleetFootprint(::benchmark::State& state) {
   const bool demand = state.range(0) != 0;
   SystemConfig sc;
   sc.system = System::kUfork;
-  sc.layout = HttpdLayout();
-  sc.demand_paging = demand;
+  sc.kernel.layout = HttpdLayout();
+  sc.kernel.demand_paging = demand;
   uint64_t resident = 0;
   uint64_t reserved_bytes = 0;
   for (auto _ : state) {
     auto kernel = MakeSystem(sc);
-    kernel->RegisterProgram(
+    kernel->procs().RegisterProgram(
         "httpd-worker", MakeGuestEntry([](Guest& g) -> SimTask<void> {
           // A worker's steady state: read the shared config through the page cache, touch a
           // little private heap, then serve (sleep) until the sampler has seen the fleet.
@@ -228,8 +228,8 @@ constexpr uint64_t kCopaBlockBytes = 2048;
 void CopaFaultResolution(::benchmark::State& state) {
   SystemConfig sc;
   sc.system = System::kUfork;
-  sc.layout = HelloLayout();
-  sc.layout.heap_size = 4 * kMiB;
+  sc.kernel.layout = HelloLayout();
+  sc.kernel.layout.heap_size = 4 * kMiB;
   uint64_t faults = 0;
   for (auto _ : state) {
     auto kernel = RunGuestMain(sc, [](Guest& g) -> SimTask<void> {
@@ -277,7 +277,7 @@ constexpr int kSyscallsPerRun = 2000;
 void SyscallGetPid(::benchmark::State& state, System system) {
   SystemConfig sc;
   sc.system = system;
-  sc.layout = HelloLayout();
+  sc.kernel.layout = HelloLayout();
   for (auto _ : state) {
     RunGuestMain(sc, [](Guest& g) -> SimTask<void> {
       for (int i = 0; i < kSyscallsPerRun; ++i) {
@@ -300,7 +300,7 @@ BENCHMARK_CAPTURE(SyscallGetPid, Nephele, System::kNephele);
 void RedisSaveEndToEnd(::benchmark::State& state) {
   SystemConfig sc;
   sc.system = System::kUfork;
-  sc.layout = RedisLayout();
+  sc.kernel.layout = RedisLayout();
   for (auto _ : state) {
     const RedisRunResult result = RunRedisBgSave(sc, 10 * kMiB);
     ::benchmark::DoNotOptimize(result.save_elapsed);

@@ -382,9 +382,9 @@ struct FleetOptions {
 FleetResult RunFleet(System system, const FleetOptions& opt) {
   SystemConfig sc;
   sc.system = system;
-  sc.layout = FleetLayout();
-  sc.cores = 4;
-  sc.phys_mem_bytes = kFleetPhysMem;
+  sc.kernel.layout = FleetLayout();
+  sc.kernel.cores = 4;
+  sc.kernel.phys_mem_bytes = kFleetPhysMem;
 
   FleetResult result;
   auto kernel = RunGuestMain(sc, [&result, opt](Guest& g) -> SimTask<void> {

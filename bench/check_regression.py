@@ -10,45 +10,63 @@ Subcommands:
       present in only one file are reported but never fail the gate, so adding or retiring a
       benchmark does not break CI.
 
-  storm-gate STORM.json [--improvement 0.10] [--benchmark FaultStormRedis]
-              [--counter fault_Mcycles] [--baseline-arg 1] [--candidate-arg 0]
+  storm-gate STORM.json
       Checks the fault-around acceptance criterion on bench_fault_storm output: the adaptive
-      sweep point (arg 0) must improve the given counter by at least `improvement` relative
-      to the window=1 point. The counter is simulator virtual cycles, so this gate is
-      deterministic and safe to run on any host.
+      sweep point (FaultStormRedis/0) must cut fault_Mcycles by at least STORM_IMPROVEMENT
+      (10%) relative to the window=1 point (FaultStormRedis/1). The counter is simulator
+      virtual cycles, so this gate is deterministic and safe to run on any host.
 
-  overload-gate OVERLOAD.json [--baseline BENCH_overload.json] [--min-ratio 0.8]
-              [--threshold 0.10] [--allow-crashes]
+  overload-gate OVERLOAD.json [--baseline BENCH_overload.json] [--threshold 0.10]
+              [--allow-crashes]
       Checks the overload-survival acceptance criteria on bench_overload output, per system
       row with admission armed (rows named *_NoAdmission are the ablation and never gated):
         1. crashed == 0 at both rate points (no uncontained ENOMEM deaths; waived by
            --allow-crashes for chaos-armed soaks, where injected faults do kill children),
-        2. goodput at 2x (arg 20) >= min-ratio * goodput at 1x (arg 10): admission control
-           sheds load instead of collapsing,
+        2. goodput at 2x (arg 20) >= OVERLOAD_MIN_RATIO (0.8) * goodput at 1x (arg 10):
+           admission control sheds load instead of collapsing,
         3. if a baseline file is given, each row's goodput >= baseline - threshold.
       Counters are simulator virtual time, so 1 and 2 are deterministic per seed.
 
-  frag-gate FRAG.json [--min-recovery 0.9] [--max-pause-ratio 0.1] [--arg 32]
+  frag-gate FRAG.json
       Checks the incremental-compaction acceptance criteria (DESIGN.md §4.13) on
       bench_fragmentation output, comparing the FragmentationCompactionIncremental row
-      against the stop-the-world FragmentationCompaction row at the same checkerboard size:
+      against the stop-the-world FragmentationCompaction row at checkerboard size FRAG_ARG
+      (32):
         1. recovered contiguity (largest_free_after - largest_free_before) must reach at
-           least --min-recovery times the stop-the-world pass's recovery,
+           least FRAG_MIN_RECOVERY (0.9) times the stop-the-world pass's recovery,
         2. the longest mutator-excluding pause (pause_cycles_max, one budgeted quantum)
-           must stay at or below --max-pause-ratio times the stop-the-world pause.
+           must stay at or below FRAG_MAX_PAUSE_RATIO (0.1) times the stop-the-world pause.
       All counters are simulator virtual time / simulator bytes — deterministic on any host.
 
-  footprint-gate HOST.json [--max-ratio 0.5] [--benchmark HttpdFleetFootprint]
-              [--counter resident_frames] [--eager-arg 0] [--demand-arg 1]
+  footprint-gate HOST.json
       Checks the demand-paging acceptance criterion (DESIGN.md §4.12) on bench_host_throughput
-      output: the demand row (arg 1) of the 256-worker httpd fleet must hold at most
-      --max-ratio times the eager row's (arg 0) resident frames. The counter is a simulator
-      frame count sampled at the fleet's plateau — deterministic on any host.
+      output: the demand row (HttpdFleetFootprint/1) of the 256-worker httpd fleet must hold
+      at most FOOTPRINT_MAX_RATIO (0.5) times the eager row's (HttpdFleetFootprint/0)
+      resident_frames. The counter is a simulator frame count sampled at the fleet's plateau —
+      deterministic on any host.
 """
 
 import argparse
 import json
 import sys
+
+STORM_BENCHMARK = "FaultStormRedis"
+STORM_COUNTER = "fault_Mcycles"
+STORM_BASELINE_ARG = "1"
+STORM_CANDIDATE_ARG = "0"
+STORM_IMPROVEMENT = 0.10
+
+OVERLOAD_MIN_RATIO = 0.8
+
+FRAG_ARG = "32"
+FRAG_MIN_RECOVERY = 0.9
+FRAG_MAX_PAUSE_RATIO = 0.1
+
+FOOTPRINT_BENCHMARK = "HttpdFleetFootprint"
+FOOTPRINT_COUNTER = "resident_frames"
+FOOTPRINT_EAGER_ARG = "0"
+FOOTPRINT_DEMAND_ARG = "1"
+FOOTPRINT_MAX_RATIO = 0.5
 
 
 def load_benchmarks(path):
@@ -115,14 +133,14 @@ def find_counter(entries, prefix, counter):
 
 def cmd_storm_gate(args):
     entries = load_benchmarks(args.storm)
-    base = find_counter(entries, f"{args.benchmark}/{args.baseline_arg}/", args.counter)
-    cand = find_counter(entries, f"{args.benchmark}/{args.candidate_arg}/", args.counter)
+    base = find_counter(entries, f"{STORM_BENCHMARK}/{STORM_BASELINE_ARG}/", STORM_COUNTER)
+    cand = find_counter(entries, f"{STORM_BENCHMARK}/{STORM_CANDIDATE_ARG}/", STORM_COUNTER)
     improvement = (base - cand) / base if base > 0 else 0.0
-    print(f"  {args.benchmark} {args.counter}: window=1 {base:.4f} -> adaptive {cand:.4f} "
+    print(f"  {STORM_BENCHMARK} {STORM_COUNTER}: window=1 {base:.4f} -> adaptive {cand:.4f} "
           f"({improvement * 100.0:+.1f}% improvement)")
-    if improvement < args.improvement:
-        print(f"FAIL: adaptive fault-around must improve {args.counter} by at least "
-              f"{args.improvement * 100.0:.0f}% over window=1")
+    if improvement < STORM_IMPROVEMENT:
+        print(f"FAIL: adaptive fault-around must improve {STORM_COUNTER} by at least "
+              f"{STORM_IMPROVEMENT * 100.0:.0f}% over window=1")
         return 1
     print("fault-storm gate OK")
     return 0
@@ -162,10 +180,10 @@ def cmd_overload_gate(args):
         goodput_1x = float(low["goodput_rps"])
         goodput_2x = float(high["goodput_rps"])
         ratio = goodput_2x / goodput_1x if goodput_1x > 0 else 0.0
-        marker = "OK" if ratio >= args.min_ratio else "FAIL"
-        if ratio < args.min_ratio:
+        marker = "OK" if ratio >= OVERLOAD_MIN_RATIO else "FAIL"
+        if ratio < OVERLOAD_MIN_RATIO:
             failures.append(f"{system}: goodput at 2x is {ratio:.2f}x of saturation "
-                            f"(need >= {args.min_ratio:.2f}x)")
+                            f"(need >= {OVERLOAD_MIN_RATIO:.2f}x)")
         print(f"  [{marker}] {system}: goodput 1x {goodput_1x:.0f} rps, 2x {goodput_2x:.0f} rps "
               f"({ratio:.2f}x), crashed {crashed:.0f}")
         for arg in ("10", "20"):
@@ -204,16 +222,16 @@ def find_arg_row(entries, benchmark, arg, counter):
 
 def cmd_footprint_gate(args):
     entries = load_benchmarks(args.host)
-    eager = find_arg_row(entries, args.benchmark, args.eager_arg, args.counter)
-    demand = find_arg_row(entries, args.benchmark, args.demand_arg, args.counter)
+    eager = find_arg_row(entries, FOOTPRINT_BENCHMARK, FOOTPRINT_EAGER_ARG, FOOTPRINT_COUNTER)
+    demand = find_arg_row(entries, FOOTPRINT_BENCHMARK, FOOTPRINT_DEMAND_ARG, FOOTPRINT_COUNTER)
     ratio = demand / eager if eager > 0 else 1.0
-    print(f"  {args.benchmark} {args.counter}: eager {eager:.0f}, demand {demand:.0f} "
+    print(f"  {FOOTPRINT_BENCHMARK} {FOOTPRINT_COUNTER}: eager {eager:.0f}, demand {demand:.0f} "
           f"({ratio:.2f}x)")
-    if ratio > args.max_ratio:
-        print(f"FAIL: the demand-paging fleet must hold <= {args.max_ratio:.2f}x the eager "
-              f"fleet's {args.counter}")
+    if ratio > FOOTPRINT_MAX_RATIO:
+        print(f"FAIL: the demand-paging fleet must hold <= {FOOTPRINT_MAX_RATIO:.2f}x the eager "
+              f"fleet's {FOOTPRINT_COUNTER}")
         return 1
-    print(f"footprint gate OK (demand/eager = {ratio:.2f}, limit {args.max_ratio:.2f})")
+    print(f"footprint gate OK (demand/eager = {ratio:.2f}, limit {FOOTPRINT_MAX_RATIO:.2f})")
     return 0
 
 
@@ -223,7 +241,7 @@ def cmd_frag_gate(args):
     inc = "FragmentationCompactionIncremental"
     rows = {}
     for name in (stw, inc):
-        rows[name] = {counter: find_arg_row(entries, name, args.arg, counter)
+        rows[name] = {counter: find_arg_row(entries, name, FRAG_ARG, counter)
                       for counter in ("largest_free_before", "largest_free_after",
                                       "pause_cycles_max")}
     stw_recovered = rows[stw]["largest_free_after"] - rows[stw]["largest_free_before"]
@@ -236,23 +254,23 @@ def cmd_frag_gate(args):
     stw_pause = rows[stw]["pause_cycles_max"]
     inc_pause = rows[inc]["pause_cycles_max"]
     pause_ratio = inc_pause / stw_pause if stw_pause > 0 else 0.0
-    print(f"  {stw}/{args.arg}: recovered {stw_recovered / 1024.0 / 1024.0:.1f} MiB contiguity "
+    print(f"  {stw}/{FRAG_ARG}: recovered {stw_recovered / 1024.0 / 1024.0:.1f} MiB contiguity "
           f"in one {stw_pause:.0f}-cycle pause")
-    print(f"  {inc}/{args.arg}: recovered {inc_recovered / 1024.0 / 1024.0:.1f} MiB "
+    print(f"  {inc}/{FRAG_ARG}: recovered {inc_recovered / 1024.0 / 1024.0:.1f} MiB "
           f"({recovery:.2f}x), max quantum pause {inc_pause:.0f} cycles "
           f"({pause_ratio:.3f}x the stop-the-world pause)")
-    if stw_recovered > 0 and recovery < args.min_recovery:
+    if stw_recovered > 0 and recovery < FRAG_MIN_RECOVERY:
         failures.append(f"incremental compaction recovered only {recovery:.2f}x the "
-                        f"stop-the-world contiguity (need >= {args.min_recovery:.2f}x)")
-    if pause_ratio > args.max_pause_ratio:
+                        f"stop-the-world contiguity (need >= {FRAG_MIN_RECOVERY:.2f}x)")
+    if pause_ratio > FRAG_MAX_PAUSE_RATIO:
         failures.append(f"incremental max pause is {pause_ratio:.3f}x the stop-the-world "
-                        f"pause (need <= {args.max_pause_ratio:.2f}x)")
+                        f"pause (need <= {FRAG_MAX_PAUSE_RATIO:.2f}x)")
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}")
         return 1
-    print(f"fragmentation gate OK (recovery {recovery:.2f}x >= {args.min_recovery:.2f}x, "
-          f"pause {pause_ratio:.3f}x <= {args.max_pause_ratio:.2f}x)")
+    print(f"fragmentation gate OK (recovery {recovery:.2f}x >= {FRAG_MIN_RECOVERY:.2f}x, "
+          f"pause {pause_ratio:.3f}x <= {FRAG_MAX_PAUSE_RATIO:.2f}x)")
     return 0
 
 
@@ -269,35 +287,21 @@ def main():
 
     storm = sub.add_parser("storm-gate")
     storm.add_argument("storm")
-    storm.add_argument("--improvement", type=float, default=0.10)
-    storm.add_argument("--benchmark", default="FaultStormRedis")
-    storm.add_argument("--counter", default="fault_Mcycles")
-    storm.add_argument("--baseline-arg", default="1")
-    storm.add_argument("--candidate-arg", default="0")
     storm.set_defaults(fn=cmd_storm_gate)
 
     overload = sub.add_parser("overload-gate")
     overload.add_argument("overload")
     overload.add_argument("--baseline", default=None)
-    overload.add_argument("--min-ratio", type=float, default=0.8)
     overload.add_argument("--threshold", type=float, default=0.10)
     overload.add_argument("--allow-crashes", action="store_true")
     overload.set_defaults(fn=cmd_overload_gate)
 
     frag = sub.add_parser("frag-gate")
     frag.add_argument("frag")
-    frag.add_argument("--min-recovery", type=float, default=0.9)
-    frag.add_argument("--max-pause-ratio", type=float, default=0.1)
-    frag.add_argument("--arg", default="32")
     frag.set_defaults(fn=cmd_frag_gate)
 
     footprint = sub.add_parser("footprint-gate")
     footprint.add_argument("host")
-    footprint.add_argument("--max-ratio", type=float, default=0.5)
-    footprint.add_argument("--benchmark", default="HttpdFleetFootprint")
-    footprint.add_argument("--counter", default="resident_frames")
-    footprint.add_argument("--eager-arg", default="0")
-    footprint.add_argument("--demand-arg", default="1")
     footprint.set_defaults(fn=cmd_footprint_gate)
 
     args = parser.parse_args()

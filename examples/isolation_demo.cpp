@@ -87,7 +87,7 @@ void ConfusedDeputyAttack() {
         auto fd = co_await g.Open("/out", kOpenWrite | kOpenCreate);
         UF_CHECK(fd.ok());
         const Capability foreign = Capability::Root(2 * kGiB, kPageSize, kPermAllData);
-        auto written = co_await g.kernel().SysWrite(g.uproc(), *fd, foreign, 2 * kGiB, 16);
+        auto written = co_await g.kernel().files().Write(g.uproc(), *fd, foreign, 2 * kGiB, 16);
         std::printf("   write(fd, <buffer outside my region>) -> %s\n",
                     CodeName(written.code()));
         co_return;

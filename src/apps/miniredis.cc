@@ -184,8 +184,8 @@ SimTask<Result<MiniRedis::DumpInfo>> MiniRedis::VerifyDump(const std::string& pa
   auto read_exact = [&](uint64_t len) -> SimTask<Result<void>> {
     uint64_t done = 0;
     while (done < len) {
-      auto n = co_await g.kernel().SysRead(g.uproc(), *fd, *scratch,
-                                           scratch->base() + done, len - done);
+      auto n = co_await g.kernel().files().Read(g.uproc(), *fd, *scratch,
+                                                scratch->base() + done, len - done);
       if (!n.ok()) {
         co_return n.error();
       }

@@ -311,11 +311,11 @@ SimTask<Result<std::string>> Shell::Slurp(const std::string& path) {
 }
 
 void RegisterShellUtilities(Kernel& kernel) {
-  kernel.RegisterProgram("cat", MakeGuestEntry([](Guest& g) -> SimTask<void> {
+  kernel.procs().RegisterProgram("cat", MakeGuestEntry([](Guest& g) -> SimTask<void> {
     auto done = co_await FilterLoop(g, [](std::string_view s) { return std::string(s); });
     co_await g.Exit(done.ok() ? 0 : 1);
   }));
-  kernel.RegisterProgram("upper", MakeGuestEntry([](Guest& g) -> SimTask<void> {
+  kernel.procs().RegisterProgram("upper", MakeGuestEntry([](Guest& g) -> SimTask<void> {
     auto done = co_await FilterLoop(g, [](std::string_view s) {
       std::string out(s);
       std::transform(out.begin(), out.end(), out.begin(),
@@ -324,7 +324,7 @@ void RegisterShellUtilities(Kernel& kernel) {
     });
     co_await g.Exit(done.ok() ? 0 : 1);
   }));
-  kernel.RegisterProgram("count", MakeGuestEntry([](Guest& g) -> SimTask<void> {
+  kernel.procs().RegisterProgram("count", MakeGuestEntry([](Guest& g) -> SimTask<void> {
     // Counts lines and bytes of stdin, like `wc -lc`.
     auto all = co_await SlurpFd(g, kShellStdin);
     if (!all.ok()) {
@@ -336,7 +336,7 @@ void RegisterShellUtilities(Kernel& kernel) {
         g, kShellStdout, std::to_string(lines) + " " + std::to_string(all->size()) + "\n");
     co_await g.Exit(written.ok() ? 0 : 1);
   }));
-  kernel.RegisterProgram("seq", MakeGuestEntry([](Guest& g) -> SimTask<void> {
+  kernel.procs().RegisterProgram("seq", MakeGuestEntry([](Guest& g) -> SimTask<void> {
     auto args = co_await ReadOwnArgv(g);
     if (!args.ok() || args->empty()) {
       co_await g.Exit(2);
@@ -349,7 +349,7 @@ void RegisterShellUtilities(Kernel& kernel) {
     auto written = co_await WriteAll(g, kShellStdout, out);
     co_await g.Exit(written.ok() ? 0 : 1);
   }));
-  kernel.RegisterProgram("stats", MakeGuestEntry([](Guest& g) -> SimTask<void> {
+  kernel.procs().RegisterProgram("stats", MakeGuestEntry([](Guest& g) -> SimTask<void> {
     // Prints the kernel's per-syscall counters and fault/fork summary — the simulated
     // /proc/stat (+ /proc/vmstat: the fault-around and reclaim counters live in the summary).
     auto written = co_await WriteAll(

@@ -121,7 +121,7 @@ SimTask<Result<void>> StoreExeclCounter(Guest& g, uint64_t value) {
 }  // namespace
 
 void RegisterExeclHop(Kernel& kernel) {
-  kernel.RegisterProgram("execl-hop", MakeGuestEntry([](Guest& g) -> SimTask<void> {
+  kernel.procs().RegisterProgram("execl-hop", MakeGuestEntry([](Guest& g) -> SimTask<void> {
     auto remaining = co_await LoadExeclCounter(g);
     UF_CHECK(remaining.ok());
     if (*remaining == 0) {

@@ -61,18 +61,6 @@ const char* AttackOpName(AttackOp op) {
   return "unknown";
 }
 
-const char* AttackClassName(AttackClass cls) {
-  switch (cls) {
-    case AttackClass::kForgery: return "forgery";
-    case AttackClass::kBounds: return "bounds";
-    case AttackClass::kSealed: return "sealed";
-    case AttackClass::kTagLaunder: return "tag-launder";
-    case AttackClass::kUaf: return "uaf";
-    case AttackClass::kMisc: return "misc";
-  }
-  return "unknown";
-}
-
 std::vector<std::byte> AttackTrace::Encode() const {
   // [fatal_step u32][fatal_code i32][count u32] then 6 bytes per step [op][code i32][detail].
   std::vector<std::byte> out;

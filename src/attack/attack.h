@@ -127,8 +127,6 @@ SimTask<void> RunAttackChild(Guest& guest, AttackProgram program, int trace_fd,
 
 enum class AttackClass : uint8_t { kForgery, kBounds, kSealed, kTagLaunder, kUaf, kMisc };
 
-const char* AttackClassName(AttackClass cls);
-
 struct BatteryAttack {
   std::string name;
   AttackClass cls = AttackClass::kMisc;

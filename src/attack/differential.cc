@@ -116,7 +116,7 @@ CampaignResult RunBatteryCampaign(const SystemFactory& factory, KernelConfig con
     kernel->Run();
   }
   result.faults_contained = kernel->stats().faults_contained;
-  result.elapsed = kernel->sched().Now();
+  result.elapsed = kernel->sched().CompletionTime();
 
   StateDigest d;
   for (const AttackVerdict& v : result.verdicts) {

@@ -54,8 +54,6 @@ class Rng {
   // Uniform double in [0, 1).
   double NextDouble() { return static_cast<double>(NextU64() >> 11) * 0x1.0p-53; }
 
-  bool NextBool() { return (NextU64() & 1) != 0; }
-
  private:
   static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 

@@ -135,7 +135,7 @@ inline Result<void> OkResult() { return Result<void>(); }
   } while (0)
 
 // Assigns the value of a Result-producing expression or propagates its error. Usage:
-//   UF_ASSIGN_OR_RETURN(uint64_t v, machine.LoadU64(cap, addr));
+//   UF_ASSIGN_OR_RETURN(const FrameId frame, machine.frames().Allocate());
 #define UF_ASSIGN_OR_RETURN(decl, expr)                    \
   UF_ASSIGN_OR_RETURN_IMPL_(UF_CONCAT_(uf_res_, __LINE__), decl, expr)
 #define UF_ASSIGN_OR_RETURN_IMPL_(tmp, decl, expr) \

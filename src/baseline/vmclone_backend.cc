@@ -82,7 +82,7 @@ Result<void> VmCloneBackend::ResolveFault(KernelCore& kernel, const PageFaultInf
     return ResolveDemandFault(kernel, *uproc, pt, info, *pte);
   }
   if ((pte->flags & kPteCow) != 0 && info.is_write) {
-    // The only CoW in a clone's table comes from SysMmapFile cache pages (fork copies
+    // The only CoW in a clone's table comes from MmapFile cache pages (fork copies
     // everything eagerly); break it with the classic copy-out.
     return ResolveCowWriteWindow(kernel, *uproc, pt, info, *pte);
   }

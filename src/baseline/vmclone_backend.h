@@ -40,7 +40,7 @@ class VmCloneBackend : public ForkBackend {
   Result<Pid> Fork(KernelCore& kernel, Uproc& parent, UprocEntry entry) override;
 
   // Clones never share memory across domains, so the only resolvable faults are demand fills
-  // and CoW breaks against the host's page cache (SysMmapFile); anything else is a bug.
+  // and CoW breaks against the host's page cache (MmapFile); anything else is a bug.
   Result<void> ResolveFault(KernelCore& kernel, const PageFaultInfo& info) override;
 
   void OnExit(KernelCore& kernel, Uproc& uproc) override;

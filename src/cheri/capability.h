@@ -90,9 +90,6 @@ class Capability {
   // Same bounds/permissions, new cursor. Setting the address of a sealed capability untags.
   Capability WithAddress(uint64_t addr) const;
 
-  // Add a signed offset to the cursor.
-  Capability WithOffsetAdded(int64_t delta) const { return WithAddress(cursor_ + delta); }
-
   // Narrow bounds to [new_base, new_base+new_length). The new bounds must be a subset of the
   // old ones and the source must be tagged and unsealed, otherwise the result is untagged.
   // The cursor is set to new_base.

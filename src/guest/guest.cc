@@ -66,7 +66,7 @@ Result<void> Guest::Free(const Capability& allocation) {
 }
 
 SimTask<Result<Pid>> Guest::Fork(GuestFn child_fn) {
-  return kernel_.SysFork(uproc_, MakeGuestEntry(std::move(child_fn)));
+  return kernel_.procs().Fork(uproc_, MakeGuestEntry(std::move(child_fn)));
 }
 
 SimTask<Result<ThreadId>> Guest::ThreadCreate(GuestFn fn) {
@@ -77,7 +77,7 @@ SimTask<Result<ThreadId>> Guest::ThreadCreate(GuestFn fn) {
       co_await f(guest);
     }(kernel, uproc, fn);
   };
-  return kernel_.SysThreadCreate(uproc_, std::move(entry));
+  return kernel_.procs().ThreadCreate(uproc_, std::move(entry));
 }
 
 SimTask<Result<void>> Guest::Sigaction(int signal,
@@ -90,7 +90,14 @@ SimTask<Result<void>> Guest::Sigaction(int signal,
       co_await fn(guest, sig);
     };
   }
-  return kernel_.SysSigaction(uproc_, signal, std::move(kernel_handler));
+  return kernel_.procs().Sigaction(uproc_, signal, std::move(kernel_handler));
+}
+
+SimTask<Result<void>> Guest::PrivilegedOp() {
+  if (!uproc_.regs.pcc.HasPerms(kPermSystem)) {
+    co_return Error{Code::kFaultSystem, "privileged instruction without System permission"};
+  }
+  co_return OkResult();
 }
 
 Result<Capability> Guest::PlaceBytes(std::span<const std::byte> data) {

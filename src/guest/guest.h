@@ -117,83 +117,88 @@ class Guest {
   // suspension (regression-tested in tests/coroutine_lifetime_test.cc). Closures with only
   // trivially-destructible captures may be written inline.
   SimTask<Result<Pid>> Fork(GuestFn child_fn);
-  SimTask<Result<WaitResult>> Wait() { return kernel_.SysWait(uproc_); }
-  SimTask<void> Exit(int code) { return kernel_.SysExit(uproc_, code); }
-  SimTask<Result<Pid>> GetPid() { return kernel_.SysGetPid(uproc_); }
-  SimTask<Result<Pid>> GetPPid() { return kernel_.SysGetPPid(uproc_); }
+  SimTask<Result<WaitResult>> Wait() { return kernel_.procs().Wait(uproc_); }
+  SimTask<void> Exit(int code) { return kernel_.procs().Exit(uproc_, code); }
+  SimTask<Result<Pid>> GetPid() { return kernel_.procs().GetPid(uproc_); }
+  SimTask<Result<Pid>> GetPPid() { return kernel_.procs().GetPPid(uproc_); }
   SimTask<Result<int>> Open(std::string path, uint32_t flags) {
-    return kernel_.SysOpen(uproc_, std::move(path), flags);
+    return kernel_.files().Open(uproc_, std::move(path), flags);
   }
-  SimTask<Result<void>> Close(int fd) { return kernel_.SysClose(uproc_, fd); }
+  SimTask<Result<void>> Close(int fd) { return kernel_.files().Close(uproc_, fd); }
   SimTask<Result<int64_t>> Read(int fd, const Capability& buf, uint64_t len) {
-    return kernel_.SysRead(uproc_, fd, buf, buf.address(), len);
+    return kernel_.files().Read(uproc_, fd, buf, buf.address(), len);
   }
   SimTask<Result<int64_t>> Write(int fd, const Capability& buf, uint64_t len) {
-    return kernel_.SysWrite(uproc_, fd, buf, buf.address(), len);
+    return kernel_.files().Write(uproc_, fd, buf, buf.address(), len);
   }
   SimTask<Result<int64_t>> Seek(int fd, int64_t offset, int whence) {
-    return kernel_.SysSeek(uproc_, fd, offset, whence);
+    return kernel_.files().Seek(uproc_, fd, offset, whence);
   }
-  SimTask<Result<std::pair<int, int>>> Pipe() { return kernel_.SysPipe(uproc_); }
+  SimTask<Result<std::pair<int, int>>> Pipe() { return kernel_.ipc().Pipe(uproc_); }
   SimTask<Result<int>> Dup2(int oldfd, int newfd) {
-    return kernel_.SysDup2(uproc_, oldfd, newfd);
+    return kernel_.files().Dup2(uproc_, oldfd, newfd);
   }
   SimTask<Result<void>> Unlink(std::string path) {
-    return kernel_.SysUnlink(uproc_, std::move(path));
+    return kernel_.files().Unlink(uproc_, std::move(path));
   }
   SimTask<Result<void>> Rename(std::string from, std::string to) {
-    return kernel_.SysRename(uproc_, std::move(from), std::move(to));
+    return kernel_.files().Rename(uproc_, std::move(from), std::move(to));
   }
   SimTask<Result<uint64_t>> FileSize(std::string path) {
-    return kernel_.SysFileSize(uproc_, std::move(path));
+    return kernel_.files().FileSize(uproc_, std::move(path));
   }
   SimTask<Result<int>> MqOpen(std::string name, bool create) {
-    return kernel_.SysMqOpen(uproc_, std::move(name), create);
+    return kernel_.ipc().MqOpen(uproc_, std::move(name), create);
   }
   SimTask<Result<Capability>> MmapAnon(uint64_t length) {
-    return kernel_.SysMmapAnon(uproc_, length);
+    return kernel_.procs().MmapAnon(uproc_, length);
   }
-  SimTask<Result<uint64_t>> Sbrk(int64_t delta) { return kernel_.SysSbrk(uproc_, delta); }
+  SimTask<Result<uint64_t>> Sbrk(int64_t delta) { return kernel_.procs().Sbrk(uproc_, delta); }
   SimTask<Result<Capability>> MmapFile(std::string path, uint64_t length) {
-    return kernel_.SysMmapFile(uproc_, std::move(path), length);
+    return kernel_.files().MmapFile(uproc_, std::move(path), length);
   }
   SimTask<Result<void>> Kill(Pid target, int signal = kSigKill) {
-    return kernel_.SysKill(uproc_, target, signal);
+    return kernel_.procs().Kill(uproc_, target, signal);
   }
   // Installs a guest signal handler; pass nullptr to restore the default action.
   SimTask<Result<void>> Sigaction(int signal,
                                   std::function<SimTask<void>(Guest&, int)> handler);
-  SimTask<Result<void>> CheckSignals() { return kernel_.SysCheckSignals(uproc_); }
+  SimTask<Result<void>> CheckSignals() { return kernel_.procs().CheckSignals(uproc_); }
 
   SimTask<Result<int>> ShmOpen(std::string name, uint64_t size) {
-    return kernel_.SysShmOpen(uproc_, std::move(name), size);
+    return kernel_.ipc().ShmOpen(uproc_, std::move(name), size);
   }
-  SimTask<Result<Capability>> ShmMap(int shm_id) { return kernel_.SysShmMap(uproc_, shm_id); }
+  SimTask<Result<Capability>> ShmMap(int shm_id) { return kernel_.ipc().ShmMap(uproc_, shm_id); }
   SimTask<Result<void>> ShmUnlink(std::string name) {
-    return kernel_.SysShmUnlink(uproc_, std::move(name));
+    return kernel_.ipc().ShmUnlink(uproc_, std::move(name));
   }
 
   // execve / posix_spawn over the kernel's registered program images.
   SimTask<Result<void>> Exec(std::string program) {
-    return kernel_.SysExec(uproc_, std::move(program));
+    return kernel_.procs().Exec(uproc_, std::move(program));
   }
   SimTask<Result<Pid>> SpawnProgram(std::string program) {
-    return kernel_.SysSpawn(uproc_, std::move(program));
+    return kernel_.procs().Spawn(uproc_, std::move(program));
   }
   SimTask<Result<void>> Nanosleep(Cycles duration) {
-    return kernel_.SysNanosleep(uproc_, duration);
+    return kernel_.procs().Nanosleep(uproc_, duration);
   }
   // pthread-style threads within this μprocess. The thread closure follows the same GCC 12
   // hoisting rule as Fork's.
   SimTask<Result<ThreadId>> ThreadCreate(GuestFn fn);
-  SimTask<Result<void>> ThreadJoin(ThreadId tid) { return kernel_.SysThreadJoin(uproc_, tid); }
+  SimTask<Result<void>> ThreadJoin(ThreadId tid) {
+    return kernel_.procs().ThreadJoin(uproc_, tid);
+  }
   SimTask<Result<void>> FutexWait(const Capability& cap, uint64_t va, uint64_t expected) {
-    return kernel_.SysFutexWait(uproc_, cap, va, expected);
+    return kernel_.ipc().FutexWait(uproc_, cap, va, expected);
   }
   SimTask<Result<uint64_t>> FutexWake(const Capability& cap, uint64_t va, uint64_t n = 1) {
-    return kernel_.SysFutexWake(uproc_, cap, va, n);
+    return kernel_.ipc().FutexWake(uproc_, cap, va, n);
   }
-  SimTask<Result<void>> PrivilegedOp() { return kernel_.SysPrivilegedOp(uproc_); }
+  // Not a syscall: models user code executing an MSR/MRS-class instruction, which the
+  // hardware permits only with the System permission on the executing PCC (§4.4, second
+  // principle). User μprocesses lack it, so this returns kFaultSystem.
+  SimTask<Result<void>> PrivilegedOp();
 
   // The guest runtime's trap vector (simulator substitution): a guest program that observes an
   // unresolvable kFault* error from a memory access reports it here, and the kernel delivers

@@ -113,7 +113,6 @@ class CompactionService {
   CompactionService& operator=(const CompactionService&) = delete;
 
   void InstallEngine(std::unique_ptr<CompactionEngine> engine);
-  bool engine_installed() const { return engine_ != nullptr; }
 
   // Arms the service unconditionally and spawns the background context if it is not already
   // running. Returns false when incremental compaction is unavailable (no engine installed,

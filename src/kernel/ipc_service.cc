@@ -2,7 +2,6 @@
 
 #include <optional>
 
-#include "src/base/log.h"
 #include "src/kernel/kernel.h"
 #include "src/kernel/pipe.h"
 #include "src/kernel/syscall_scope.h"

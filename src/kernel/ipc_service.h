@@ -30,15 +30,18 @@ class IpcService {
   IpcService(const IpcService&) = delete;
   IpcService& operator=(const IpcService&) = delete;
 
-  MqRegistry& mqueues() { return mqueues_; }
-
   SimTask<Result<std::pair<int, int>>> Pipe(Uproc& caller);
   SimTask<Result<int>> MqOpen(Uproc& caller, std::string name, bool create);
 
+  // POSIX shared memory (§3.7). ShmOpen is shm_open + ftruncate to `size` bytes. ShmMap maps
+  // the object's frames into the caller's mmap zone with data permissions but without
+  // LoadCap/StoreCap, so capabilities cannot be laundered between μprocesses (§4.2/§4.3).
   SimTask<Result<int>> ShmOpen(Uproc& caller, std::string name, uint64_t size);
   SimTask<Result<Capability>> ShmMap(Uproc& caller, int shm_id);
   SimTask<Result<void>> ShmUnlink(Uproc& caller, std::string name);
 
+  // FutexWait blocks while the word at `va` equals `expected` (EAGAIN otherwise); FutexWake
+  // wakes up to `n` waiters and returns how many it woke.
   SimTask<Result<void>> FutexWait(Uproc& caller, Capability cap, uint64_t va,
                                   uint64_t expected);
   SimTask<Result<uint64_t>> FutexWake(Uproc& caller, Capability cap, uint64_t va, uint64_t n);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/base/log.h"
 #include "src/kernel/kernel.h"
 #include "src/kernel/page_cache.h"
 
@@ -279,7 +278,7 @@ void KernelCore::StartUprocThread(Uproc& uproc, UprocEntry entry, int pinned_cor
     co_await fn(kernel, proc);
     // The entry returned without calling exit(): POSIX main() return implies exit(0).
     if (proc.state == Uproc::State::kRunning) {
-      co_await kernel.SysExit(proc, 0);
+      co_await kernel.procs().Exit(proc, 0);
     }
   };
   const ThreadId tid =
@@ -379,7 +378,6 @@ Result<void> KernelCore::CheckFrameAccounting() const {
   // Expected refcount per frame: PTE mappings across every page table, plus kernel-held
   // references (shm objects registered by Kernel). The 48-bit walk is sparse, so its cost is
   // O(mapped pages), not O(address space).
-  constexpr uint64_t kVaTop = 1ULL << 48;
   std::map<FrameId, uint32_t> expected;
   const auto count_pt = [&expected](const PageTable& pt) {
     pt.ForEachMapped(0, kVaTop, [&expected](uint64_t, const Pte& pte) {

@@ -116,8 +116,8 @@ struct KernelStats {
   uint64_t fault_cycles = 0;                   // virtual cycles spent in resolvable-fault
                                                // handling (incl. the page_fault trap cost)
   uint64_t regions_tombstoned = 0;  // regions kept reserved at exit (shared frames remain)
-  // Demand paging (DESIGN.md §4.12). Zero unless KernelConfig::demand_paging (or SysMmapFile
-  // / SysSbrk, which exercise the page cache and lazy zones in any configuration).
+  // Demand paging (DESIGN.md §4.12). Zero unless KernelConfig::demand_paging (or MmapFile /
+  // Sbrk, which exercise the page cache and lazy zones in any configuration).
   uint64_t pages_demand_filled = 0;  // reservations populated by the fault path
   // Overload control (DESIGN.md §4.10). All zero unless OverloadConfig::enabled.
   uint64_t admission_trips = 0;     // ADMITTING -> REJECTING transitions (low watermark hit)
@@ -188,7 +188,7 @@ class KernelCore {
   const CompactionService& compaction() const { return *compaction_; }
 
   // VFS-unified page cache (DESIGN.md §4.12): refcounted frames keyed by (inode, page),
-  // read-through filled from ramdisk inodes, shared clean into SysMmapFile mappings.
+  // read-through filled from ramdisk inodes, shared clean into MmapFile mappings.
   PageCache& page_cache() { return *page_cache_; }
   const PageCache& page_cache() const { return *page_cache_; }
 

@@ -1,7 +1,7 @@
 // VFS-unified page cache (DESIGN.md §4.12).
 //
 // One refcounted frame per (inode, file-page) pair, filled read-through from the ramdisk
-// inode's bytes on first demand. SysMmapFile maps these frames directly — clean file pages
+// inode's bytes on first demand. MmapFile maps these frames directly — clean file pages
 // are shared by every mapper and by the cache itself, so a 256-worker fleet mmapping the
 // same config pays one frame, not 256. Writes go private through the ordinary CoW break
 // (the mapping carries kPteCow because the cache's reference keeps the refcount above one).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "src/base/log.h"
 #include "src/kernel/kernel.h"
 #include "src/kernel/syscall_scope.h"
 
@@ -253,8 +252,6 @@ SimTask<void> ProcService::RaiseFault(Uproc& uproc, const Error& fault) {
   // Crash containment (§4.9): a capability or translation fault the resolvers could not claim
   // is the μprocess's bug, never the host's. Deliver SIGSEGV — a handler may run; the default
   // action terminates with status 128 + SIGSEGV, leaving every other μprocess untouched.
-  UF_LOG(kInfo) << uproc.name << " pid " << uproc.pid() << ": " << CodeName(fault.code)
-                << " (" << fault.message << ") -> SIGSEGV";
   ++uproc.faults_contained;
   uproc.last_fault = fault.code;
   ++kernel_.stats().faults_contained;

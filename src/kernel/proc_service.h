@@ -38,18 +38,30 @@ class ProcService {
   SimTask<Result<Pid>> GetPid(Uproc& caller);
   SimTask<Result<Pid>> GetPPid(Uproc& caller);
 
+  // kill(2): SIGKILL terminates the target at once; other signals queue on its pending set
+  // until its next delivery point.
   SimTask<Result<void>> Kill(Uproc& caller, Pid target, int signal);
+  // sigaction(2): installs a handler coroutine for `signal` (not SIGKILL).
   SimTask<Result<void>> Sigaction(Uproc& caller, int signal, SignalHandler handler);
+  // Explicit delivery point: runs pending handlers / default actions now.
   SimTask<Result<void>> CheckSignals(Uproc& caller);
 
+  // Registers a named program image for Exec and Spawn.
   void RegisterProgram(std::string name, UprocEntry entry);
+  // execve(2): replaces the caller's image with a fresh instance of `program`, keeping its
+  // PID, parent, descriptors and children. Never returns on success.
   SimTask<Result<void>> Exec(Uproc& caller, std::string program);
+  // posix_spawn(3): a child running a fresh image of `program`, without duplicating the
+  // parent's memory — the fork+exec replacement SASOSes traditionally support (§2.3).
   SimTask<Result<Pid>> Spawn(Uproc& caller, std::string program);
   SimTask<Result<void>> Nanosleep(Uproc& caller, Cycles duration);
 
+  // pthread_create / pthread_join: threads share the caller's region and descriptors (§3.4);
+  // any thread of the μprocess may join any other.
   SimTask<Result<ThreadId>> ThreadCreate(Uproc& caller, UprocEntry entry);
   SimTask<Result<void>> ThreadJoin(Uproc& caller, ThreadId tid);
 
+  // Anonymous mmap: fresh pages inside the caller's own region (§4.2).
   SimTask<Result<Capability>> MmapAnon(Uproc& caller, uint64_t length);
 
   // sbrk(2) against the build-time static heap (§4.2): grow maps pages up to the heap top

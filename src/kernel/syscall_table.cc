@@ -1,6 +1,5 @@
 #include "src/kernel/syscall_table.h"
 
-#include "src/base/log.h"
 
 namespace ufork {
 namespace {

@@ -83,7 +83,7 @@ class Uproc {
   // Absolute VA of the heap break: sbrk moves it within (heap_off, heap_off + heap_size];
   // pages at/above the break are unmapped, pages below are populated or reserved.
   uint64_t heap_break = 0;
-  // File-backed mmap windows (SysMmapFile): the PTE only says kPteFileBacked; this table
+  // File-backed mmap windows (MmapFile): the PTE only says kPteFileBacked; this table
   // names the inode and starting file page, so the demand-fill path knows what to read
   // through the page cache. Rebased on fork (child region) and compaction moves.
   struct FileMapping {

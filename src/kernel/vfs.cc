@@ -69,23 +69,6 @@ Result<uint64_t> RamFs::FileSize(const std::string& path) const {
   return it->second->data.size();
 }
 
-std::vector<std::string> RamFs::List() const {
-  std::vector<std::string> names;
-  names.reserve(inodes_.size());
-  for (const auto& [name, inode] : inodes_) {
-    names.push_back(name);
-  }
-  return names;
-}
-
-uint64_t RamFs::TotalBytes() const {
-  uint64_t total = 0;
-  for (const auto& [name, inode] : inodes_) {
-    total += inode->data.size();
-  }
-  return total;
-}
-
 SimTask<Result<int64_t>> RamFileHandle::Read(std::span<std::byte> out) {
   if ((flags_ & kOpenRead) == 0) {
     co_return Error{Code::kErrBadFd, "read on write-only file"};

@@ -51,13 +51,9 @@ class RamFs {
   Result<void> Unlink(const std::string& path);
   Result<void> Rename(const std::string& from, const std::string& to);
   Result<uint64_t> FileSize(const std::string& path) const;
-  // The inode backing `path`, or null if absent. SysMmapFile names page-cache pages by inode
+  // The inode backing `path`, or null if absent. MmapFile names page-cache pages by inode
   // identity, which (like a POSIX mmap) survives a later rename of the path.
   std::shared_ptr<Inode> InodeOf(const std::string& path) const;
-  bool Exists(const std::string& path) const { return inodes_.count(path) != 0; }
-  std::vector<std::string> List() const;
-
-  uint64_t TotalBytes() const;
 
   // Deterministic fault injection: kVfsGrow fires in RamFileHandle::Write whenever the ramdisk
   // would grow a file (disk full, ENOSPC). Null: disabled.

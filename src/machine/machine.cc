@@ -184,48 +184,11 @@ Result<void> Machine::StoreCap(PageTable& pt, const Capability& auth, uint64_t v
   return OkResult();
 }
 
-void Machine::KernelWrite(PageTable& pt, uint64_t va, std::span<const std::byte> in) {
-  uint64_t done = 0;
-  while (done < in.size()) {
-    const uint64_t addr = va + done;
-    const uint64_t page_va = AlignDown(addr, kPageSize);
-    const uint64_t offset = addr - page_va;
-    const uint64_t chunk = std::min<uint64_t>(in.size() - done, kPageSize - offset);
-    const std::optional<Pte> pte = pt.Lookup(page_va);
-    UF_CHECK_MSG(pte.has_value() && PtePopulated(*pte), "kernel write to unmapped page");
-    frames_.frame(pte->frame).Write(offset, in.subspan(done, chunk));
-    done += chunk;
-  }
-}
-
-void Machine::KernelRead(PageTable& pt, uint64_t va, std::span<std::byte> out) {
-  uint64_t done = 0;
-  while (done < out.size()) {
-    const uint64_t addr = va + done;
-    const uint64_t page_va = AlignDown(addr, kPageSize);
-    const uint64_t offset = addr - page_va;
-    const uint64_t chunk = std::min<uint64_t>(out.size() - done, kPageSize - offset);
-    const std::optional<Pte> pte = pt.Lookup(page_va);
-    UF_CHECK_MSG(pte.has_value() && PtePopulated(*pte), "kernel read from unmapped page");
-    frames_.frame(pte->frame).Read(offset, out.subspan(done, chunk));
-    done += chunk;
-  }
-}
-
 void Machine::KernelStoreCap(PageTable& pt, uint64_t va, const Capability& value) {
   const uint64_t page_va = AlignDown(va, kPageSize);
   const std::optional<Pte> pte = pt.Lookup(page_va);
   UF_CHECK_MSG(pte.has_value() && PtePopulated(*pte), "kernel cap store to unmapped page");
   frames_.frame(pte->frame).StoreCap(va - page_va, value);
-}
-
-Result<Capability> Machine::KernelLoadCap(PageTable& pt, uint64_t va) {
-  const uint64_t page_va = AlignDown(va, kPageSize);
-  const std::optional<Pte> pte = pt.Lookup(page_va);
-  if (!pte.has_value() || !PtePopulated(*pte)) {
-    return Error{Code::kFaultNotMapped, "kernel cap load from unmapped page"};
-  }
-  return frames_.frame(pte->frame).LoadCap(va - page_va);
 }
 
 }  // namespace ufork

@@ -59,7 +59,6 @@ class Machine {
   FrameAllocator& frames() { return frames_; }
   const FrameAllocator& frames() const { return frames_; }
   const CostModel& costs() const { return costs_; }
-  CostModel& mutable_costs() { return costs_; }
 
   void set_cycle_sink(std::function<void(Cycles)> sink) { cycle_sink_ = std::move(sink); }
   void set_fault_resolver(FaultResolver resolver) { fault_resolver_ = std::move(resolver); }
@@ -113,13 +112,10 @@ class Machine {
   Result<void> StoreCap(PageTable& pt, const Capability& auth, uint64_t va,
                         const Capability& value);
 
-  // --- Privileged (kernel) helpers: no capability checks, no fault resolution -----------------
+  // --- Privileged (kernel) store: no capability checks, no fault resolution -------------------
   //
-  // Used by the kernel on pages it owns outright (building images, fault handling itself).
-  void KernelWrite(PageTable& pt, uint64_t va, std::span<const std::byte> in);
-  void KernelRead(PageTable& pt, uint64_t va, std::span<std::byte> out);
+  // Plants a capability in a mapped page the caller owns outright.
   void KernelStoreCap(PageTable& pt, uint64_t va, const Capability& value);
-  Result<Capability> KernelLoadCap(PageTable& pt, uint64_t va);
 
   // Accounting: total resolvable faults serviced, by kind.
   uint64_t cow_faults() const { return cow_faults_; }

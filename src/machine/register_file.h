@@ -20,18 +20,6 @@ struct RegisterFile {
   Capability pcc;  // program counter capability: bounds PIC-relative references (§4.2)
   Capability csp;  // stack pointer capability
   Capability ddc;  // default data capability: ambient authority over the μprocess region
-
-  // Counts tagged (capability-holding) registers — the work the fork-time relocation does.
-  int CountTagged() const {
-    int n = 0;
-    for (const auto& reg : c) {
-      n += reg.tag() ? 1 : 0;
-    }
-    n += pcc.tag() ? 1 : 0;
-    n += csp.tag() ? 1 : 0;
-    n += ddc.tag() ? 1 : 0;
-    return n;
-  }
 };
 
 }  // namespace ufork

@@ -89,7 +89,6 @@ class PageTable {
 
   std::optional<Pte> Lookup(uint64_t va) const;
   Pte* LookupMutable(uint64_t va);
-  bool IsMapped(uint64_t va) const { return Lookup(va).has_value(); }
 
   // Invokes fn(page_va, pte) for every mapped page in [lo, hi), in address order.
   void ForEachMapped(uint64_t lo, uint64_t hi,

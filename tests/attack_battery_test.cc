@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -110,6 +111,7 @@ void ExpectCanonicalVerdicts(const CampaignResult& result) {
 TEST(AttackBattery, VerdictsIdenticalAcrossBackendsPagingAndCompaction) {
   const uint64_t expected_faults = ExpectedFatalCount();
   std::optional<CampaignResult> reference;
+  std::map<std::string, Cycles> eager_elapsed;
   for (const SystemRow& sys : Systems()) {
     for (const bool demand : {false, true}) {
       for (const bool compact : {false, true}) {
@@ -124,6 +126,9 @@ TEST(AttackBattery, VerdictsIdenticalAcrossBackendsPagingAndCompaction) {
         ExpectCanonicalVerdicts(result);
         EXPECT_EQ(result.faults_contained, expected_faults)
             << "the kernel fault ledger must move in lockstep with contained crashes";
+        if (!demand && !compact) {
+          eager_elapsed[sys.name] = result.elapsed;
+        }
         if (!reference.has_value()) {
           reference = std::move(result);
           continue;
@@ -136,6 +141,10 @@ TEST(AttackBattery, VerdictsIdenticalAcrossBackendsPagingAndCompaction) {
       }
     }
   }
+  // Campaign virtual time covers the whole run: with one fork per attack, the backends order
+  // as in Fig. 8.
+  EXPECT_LT(eager_elapsed["ufork-copa"], eager_elapsed["mas"]);
+  EXPECT_LT(eager_elapsed["mas"], eager_elapsed["vmclone"]);
 }
 
 // Sanity on the trace wire format the children flush and the fuzzer mutates.

@@ -10,7 +10,7 @@
 //     there is no half-filled window to corrupt later faults.
 //   - sbrk shrink releases memory (frames eagerly, reservations lazily) and regrowth is
 //     reservation-backed under demand paging.
-//   - SysMmapFile shares clean file pages through the page cache (one frame per file page,
+//   - MmapFile shares clean file pages through the page cache (one frame per file page,
 //     however many mappers) and breaks to a private copy on the first write.
 #include <gtest/gtest.h>
 
@@ -407,7 +407,7 @@ TEST(DemandPaging, PageCacheFillFailureIsCleanEnomem) {
 }
 
 TEST(DemandPaging, EagerMmapFileFillFailureFailsTheSyscall) {
-  // Eager mode: SysMmapFile populates at map time, so the injected fill failure surfaces as
+  // Eager mode: MmapFile populates at map time, so the injected fill failure surfaces as
   // the syscall's ENOMEM with nothing mapped and nothing leaked.
   auto kernel = MakeUforkKernel(SmallConfig(/*demand=*/false));
   auto pid = kernel->Spawn(MakeGuestEntry([](Guest& g) -> SimTask<void> {
@@ -446,7 +446,7 @@ TEST(DemandPaging, SpawnedFleetFootprintAtLeastHalvesUnderDemand) {
   for (int demand = 0; demand < 2; ++demand) {
     uint64_t* slot = &resident[demand];
     auto kernel = MakeUforkKernel(SmallConfig(demand != 0));
-    kernel->RegisterProgram("worker", MakeGuestEntry([](Guest& g) -> SimTask<void> {
+    kernel->procs().RegisterProgram("worker", MakeGuestEntry([](Guest& g) -> SimTask<void> {
                               // Stay resident while the parent samples the fleet footprint.
                               co_await g.Nanosleep(Cycles{10'000'000});
                             }));

@@ -349,7 +349,7 @@ TEST(Exhaustion, SpawnImageMapFailureRollsBack) {
   for (const System& system : kSystems) {
     SCOPED_TRACE(system.name);
     auto kernel = system.make(SmallConfig());
-    kernel->RegisterProgram("worker", MakeGuestEntry([](Guest& g) -> SimTask<void> {
+    kernel->procs().RegisterProgram("worker", MakeGuestEntry([](Guest& g) -> SimTask<void> {
                               co_await g.Exit(5);
                             }));
     auto pid = kernel->Spawn(MakeGuestEntry([](Guest& g) -> SimTask<void> {

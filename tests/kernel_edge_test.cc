@@ -61,7 +61,7 @@ TEST(KernelEdge, MmapMemoryIsCowSharedAndRelocatedAcrossFork) {
 
 TEST(KernelEdge, ExecKeepsChildrenWaitable) {
   auto kernel = MakeUforkKernel(EdgeConfig());
-  kernel->RegisterProgram("waiter", MakeGuestEntry([](Guest& g) -> SimTask<void> {
+  kernel->procs().RegisterProgram("waiter", MakeGuestEntry([](Guest& g) -> SimTask<void> {
     // The exec'd image inherits the pre-exec child and can still reap it.
     auto waited = co_await g.Wait();
     UF_CHECK(waited.ok());
@@ -123,7 +123,7 @@ TEST(KernelEdge, KillingBlockedReaderDeliversEpipeSemantics) {
 
 TEST(KernelEdge, MqDescriptorsInheritedAcrossForkAndExec) {
   auto kernel = MakeUforkKernel(EdgeConfig());
-  kernel->RegisterProgram("mq-writer", MakeGuestEntry([](Guest& g) -> SimTask<void> {
+  kernel->procs().RegisterProgram("mq-writer", MakeGuestEntry([](Guest& g) -> SimTask<void> {
     // fd 0 was arranged (pre-exec) to be the queue.
     auto msg = g.PlaceString("Q");
     UF_CHECK(msg.ok());

@@ -353,7 +353,7 @@ TEST(Kernel, SyscallBufferOutsideRegionRejected) {
         // A capability spanning another region (kernel-forged here to simulate a confused
         // deputy attempt) is rejected by validation before any transfer.
         const Capability foreign = Capability::Root(2 * kGiB, kPageSize, kPermAllData);
-        auto r = co_await g.kernel().SysWrite(g.uproc(), *fd, foreign, 2 * kGiB, 16);
+        auto r = co_await g.kernel().files().Write(g.uproc(), *fd, foreign, 2 * kGiB, 16);
         EXPECT_EQ(r.code(), Code::kErrAccess);
         co_return;
       }),

@@ -57,7 +57,7 @@ TEST(Overload, WatermarkHysteresisRejectsBelowLowAndRecoversOnlyAboveClear) {
     for (const LockMode mode : kLockModes) {
       SCOPED_TRACE(std::string(system.name) + "/" + LockModeTag(mode));
       auto kernel = system.make(TinyConfig(mode));
-      kernel->RegisterProgram("worker", MakeGuestEntry([](Guest& g) -> SimTask<void> {
+      kernel->procs().RegisterProgram("worker", MakeGuestEntry([](Guest& g) -> SimTask<void> {
                                 co_await g.Exit(7);
                               }));
       auto pid = kernel->Spawn(

@@ -225,7 +225,7 @@ TEST(Shm, UnlinkKeepsLiveMappings) {
 TEST(Exec, ReplacesImagePreservingPidAndFds) {
   auto kernel = MakeUforkKernel(SmallConfig());
   Pid exec_pid = 0;
-  kernel->RegisterProgram("worker", MakeGuestEntry([&exec_pid](Guest& g) -> SimTask<void> {
+  kernel->procs().RegisterProgram("worker", MakeGuestEntry([&exec_pid](Guest& g) -> SimTask<void> {
     auto self = co_await g.GetPid();
     CO_ASSERT_OK(self);
     exec_pid = *self;
@@ -264,7 +264,7 @@ TEST(Exec, ReplacesImagePreservingPidAndFds) {
 
 TEST(Spawn, PosixSpawnIsAForklessChild) {
   auto kernel = MakeUforkKernel(SmallConfig());
-  kernel->RegisterProgram("echo", MakeGuestEntry([](Guest& g) -> SimTask<void> {
+  kernel->procs().RegisterProgram("echo", MakeGuestEntry([](Guest& g) -> SimTask<void> {
     co_await g.Exit(11);
   }));
   auto pid = kernel->Spawn(
@@ -291,7 +291,7 @@ TEST(Spawn, CheaperThanForkForLargeImages) {
   KernelConfig config;
   config.layout.heap_size = 32 * kMiB;
   auto kernel = MakeUforkKernel(config);
-  kernel->RegisterProgram("noop", MakeGuestEntry([](Guest& g) -> SimTask<void> {
+  kernel->procs().RegisterProgram("noop", MakeGuestEntry([](Guest& g) -> SimTask<void> {
     co_await g.Exit(0);
   }));
   Cycles spawn_cost = 0;
