@@ -18,11 +18,17 @@
 //     macro workload whose heap (≈35k frames) pays for the frame hot path on every run.
 //   * SchedulerDispatch — host cost per scheduler dispatch at N ready threads (the per-layer
 //     row for dispatch; it should stay nearly flat as N grows).
+//   * PageTableSweep — host cost per page of fork's page-table duplication and exit's
+//     teardown: CloneRange then UnmapRange over a hello-sized and a Redis-sized image (the
+//     per-layer row for the page table).
 //
 // `bench/run_benches.sh` writes the JSON results to BENCH_host_throughput.json; EXPERIMENTS.md
 // records the trajectory. Virtual-time results are pinned separately by
 // tests/golden_cycles_test.cc — host optimizations must move THIS file's numbers and nothing
 // there.
+#include <chrono>
+#include <optional>
+
 #include "bench/redis_bench_util.h"
 #include "src/ufork/relocate.h"
 
@@ -340,6 +346,40 @@ void SchedulerDispatch(::benchmark::State& state) {
 }
 
 BENCHMARK(SchedulerDispatch)->Arg(4)->Arg(64)->Arg(1024);
+
+// --- PageTableSweep -----------------------------------------------------------------------------
+
+// One fork-and-exit's worth of page-table work on an N-page image in a shared table: clone the
+// parent's PTEs into a child region with the CoPA write-protect, then unmap the child. Arg is
+// N (352 ≈ the hello image, 35000 ≈ the Redis image); `ns_per_page` is host time per page.
+void PageTableSweep(::benchmark::State& state) {
+  const uint64_t pages = static_cast<uint64_t>(state.range(0));
+  const uint64_t bytes = pages * kPageSize;
+  const uint64_t parent = 4 * kGiB;
+  const uint64_t child = parent + AlignUp(bytes, 2 * kMiB);
+  PageTable pt;
+  for (uint64_t i = 0; i < pages; ++i) {
+    pt.Map(parent + i * kPageSize, static_cast<FrameId>(i), kPteRw);
+  }
+  uint64_t released = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    pt.CloneRange(pt, parent, child, bytes, [](uint64_t, Pte& pte) -> std::optional<Pte> {
+      return Pte{pte.frame, kPteRead | kPteCow | kPteLoadCapFault};
+    });
+    pt.UnmapRange(child, child + bytes, [&released](uint64_t, FrameId frame) {
+      released += frame;
+    });
+    ::benchmark::DoNotOptimize(released);
+  }
+  const double elapsed_ns =
+      std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - start).count();
+  const double swept = static_cast<double>(state.iterations()) * static_cast<double>(pages);
+  state.SetItemsProcessed(static_cast<int64_t>(swept));
+  state.counters["ns_per_page"] = elapsed_ns / swept;
+}
+
+BENCHMARK(PageTableSweep)->Arg(352)->Arg(35000);
 
 }  // namespace
 }  // namespace bench

@@ -4,8 +4,8 @@
 #include "src/kernel/fault_around.h"
 
 #include <array>
+#include <optional>
 #include <span>
-#include <vector>
 
 namespace ufork {
 
@@ -23,37 +23,29 @@ Result<Pid> MasBackend::Fork(KernelCore& kernel, Uproc& parent, UprocEntry entry
   ForkStats stats;
   PageTable& parent_pt = *parent.page_table;
   PageTable& child_pt = *child.page_table;
-  std::vector<std::pair<uint64_t, Pte>> parent_pages;
-  parent_pt.ForEachMapped(parent.base, parent.base + parent.size,
-                          [&](uint64_t va, const Pte& pte) {
-                            parent_pages.emplace_back(va, pte);
-                          });
-  for (const auto& [va, pte] : parent_pages) {
-    // Classic CoW (§3.8): identical virtual addresses, shared frames; only writable pages need
-    // the CoW break, read-only segments are shared for good. Building a fresh page-table
-    // hierarchy plus vm_map/pv bookkeeping is what makes the MAS fork per-page cost higher
-    // than μFork's batched PTE copy within one table.
-    machine.Charge(costs.pte_dup + costs.mas_page_extra);
-    if (!PtePopulated(pte)) {
-      // Demand reservation: the child inherits the lazy state verbatim — there is no frame
-      // to share, copy, or CoW-protect; each side fills privately on first touch.
-      child_pt.Map(va, kInvalidFrame, pte.flags);
-      ++stats.pages_reserved;
-      continue;
-    }
-    machine.frames().AddRef(pte.frame);
-    if ((pte.flags & kPteShared) != 0) {
-      child_pt.Map(va, pte.frame, pte.flags);  // MAP_SHARED: no CoW
-    } else if ((pte.flags & kPteWrite) != 0) {
-      const uint32_t shared = (pte.flags & ~kPteWrite) | kPteCow;
-      child_pt.Map(va, pte.frame, shared);
-      parent_pt.SetFlags(va, shared);
-    } else {
-      child_pt.Map(va, pte.frame, pte.flags);
-    }
-    ++stats.pages_mapped;
-  }
-  machine.Charge(costs.pt_node_alloc * child_pt.node_count());
+  Cycles swept = 0;  // per-page charges, summed: nothing in the sweep reads Now()
+  parent_pt.CloneRange(
+      child_pt, parent.base, child.base, parent.size,
+      [&](uint64_t, Pte& pte) -> std::optional<Pte> {
+        // Classic CoW (§3.8): identical virtual addresses, shared frames; only writable pages
+        // need the CoW break, read-only segments are shared for good. Building a fresh
+        // page-table hierarchy plus vm_map/pv bookkeeping is what makes the MAS fork per-page
+        // cost higher than μFork's batched PTE copy within one table.
+        swept += costs.pte_dup + costs.mas_page_extra;
+        if (!PtePopulated(pte)) {
+          // Demand reservation: the child inherits the lazy state verbatim — there is no
+          // frame to share, copy, or CoW-protect; each side fills privately on first touch.
+          ++stats.pages_reserved;
+          return pte;
+        }
+        machine.frames().AddRef(pte.frame);
+        if ((pte.flags & (kPteShared | kPteWrite)) == kPteWrite) {
+          pte.flags = (pte.flags & ~kPteWrite) | kPteCow;  // both sides break on write
+        }
+        ++stats.pages_mapped;
+        return pte;  // MAP_SHARED and read-only pages are shared as they are
+      });
+  machine.Charge(swept + costs.pt_node_alloc * child_pt.node_count());
 
   child.fds = parent.fds->Clone();
   machine.Charge(costs.fd_dup * static_cast<uint64_t>(child.fds->OpenCount()));

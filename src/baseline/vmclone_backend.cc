@@ -1,6 +1,6 @@
 #include "src/baseline/vmclone_backend.h"
 
-#include <vector>
+#include <optional>
 
 #include "src/kernel/fault_around.h"
 
@@ -22,36 +22,39 @@ Result<Pid> VmCloneBackend::Fork(KernelCore& kernel, Uproc& parent, UprocEntry e
   ForkStats stats;
   PageTable& parent_pt = *parent.page_table;
   PageTable& child_pt = *child.page_table;
-  std::vector<std::pair<uint64_t, Pte>> parent_pages;
-  parent_pt.ForEachMapped(parent.base, parent.base + parent.size,
-                          [&](uint64_t va, const Pte& pte) {
-                            parent_pages.emplace_back(va, pte);
-                          });
-  for (const auto& [va, pte] : parent_pages) {
-    if (!PtePopulated(pte)) {
-      // Demand reservation: nothing to copy yet — the clone inherits the lazy state and
-      // fills its own frame on first touch.
-      machine.Charge(costs.pte_dup);
-      child_pt.Map(va, kInvalidFrame, pte.flags);
-      ++stats.pages_mapped;
-      ++stats.pages_reserved;
-      continue;
-    }
-    // Full synchronous copy of the guest image — no sharing across domains.
-    auto frame = machine.frames().AllocateForCopy();
-    if (!frame.ok()) {
-      // Undo the half-built child completely (see UforkBackend::Fork): a leftover shell would
-      // be a permanently-running ghost child that hangs the parent's wait().
-      kernel.ReleaseUprocMemory(child);
-      kernel.DestroyUprocShell(child);
-      return frame.error();
-    }
-    machine.Charge(costs.frame_alloc + costs.page_copy + costs.pte_dup);
-    machine.frames().frame(*frame).CopyFrom(machine.frames().frame(pte.frame));
-    child_pt.Map(va, *frame, pte.flags);
-    ++stats.pages_mapped;
-    ++stats.pages_copied_eagerly;
-    stats.bytes_copied_eagerly += kPageSize;
+  Cycles swept = 0;  // per-page charges, summed: nothing in the sweep reads Now()
+  std::optional<Error> copy_failed;
+  parent_pt.CloneRange(
+      child_pt, parent.base, child.base, parent.size,
+      [&](uint64_t, Pte& pte) -> std::optional<Pte> {
+        if (!PtePopulated(pte)) {
+          // Demand reservation: nothing to copy yet — the clone inherits the lazy state and
+          // fills its own frame on first touch.
+          swept += costs.pte_dup;
+          ++stats.pages_mapped;
+          ++stats.pages_reserved;
+          return pte;
+        }
+        // Full synchronous copy of the guest image — no sharing across domains.
+        auto frame = machine.frames().AllocateForCopy();
+        if (!frame.ok()) {
+          copy_failed = frame.error();
+          return std::nullopt;
+        }
+        swept += costs.frame_alloc + costs.page_copy + costs.pte_dup;
+        machine.frames().frame(*frame).CopyFrom(machine.frames().frame(pte.frame));
+        ++stats.pages_mapped;
+        ++stats.pages_copied_eagerly;
+        stats.bytes_copied_eagerly += kPageSize;
+        return Pte{*frame, pte.flags};
+      });
+  machine.Charge(swept);
+  if (copy_failed) {
+    // Undo the half-built child completely (see UforkBackend::Fork): a leftover shell would
+    // be a permanently-running ghost child that hangs the parent's wait().
+    kernel.ReleaseUprocMemory(child);
+    kernel.DestroyUprocShell(child);
+    return *copy_failed;
   }
   machine.Charge(costs.pt_node_alloc * child_pt.node_count());
 

@@ -3,28 +3,37 @@
 namespace ufork {
 
 Result<int> FdTable::Install(std::shared_ptr<OpenFile> file) {
-  for (int fd = 0; fd < kMaxFds; ++fd) {
-    if (slots_[static_cast<size_t>(fd)] == nullptr) {
-      slots_[static_cast<size_t>(fd)] = std::move(file);
-      return fd;
+  for (size_t fd = 0; fd < slots_.size(); ++fd) {
+    if (slots_[fd] == nullptr) {
+      slots_[fd] = std::move(file);
+      return static_cast<int>(fd);
     }
   }
-  return Error{Code::kErrMfile, "descriptor table full"};
+  if (slots_.size() == kMaxFds) {
+    return Error{Code::kErrMfile, "descriptor table full"};
+  }
+  slots_.push_back(std::move(file));
+  return static_cast<int>(slots_.size() - 1);
 }
 
 Result<std::shared_ptr<OpenFile>> FdTable::Get(int fd) const {
-  if (fd < 0 || fd >= kMaxFds || slots_[static_cast<size_t>(fd)] == nullptr) {
+  if (fd < 0 || static_cast<size_t>(fd) >= slots_.size() ||
+      slots_[static_cast<size_t>(fd)] == nullptr) {
     return Error{Code::kErrBadFd, "bad file descriptor"};
   }
   return slots_[static_cast<size_t>(fd)];
 }
 
 Result<void> FdTable::Close(int fd) {
-  if (fd < 0 || fd >= kMaxFds || slots_[static_cast<size_t>(fd)] == nullptr) {
+  if (fd < 0 || static_cast<size_t>(fd) >= slots_.size() ||
+      slots_[static_cast<size_t>(fd)] == nullptr) {
     return Error{Code::kErrBadFd, "close of bad file descriptor"};
   }
   slots_[static_cast<size_t>(fd)]->OnClose();
   slots_[static_cast<size_t>(fd)].reset();
+  while (!slots_.empty() && slots_.back() == nullptr) {
+    slots_.pop_back();  // keep the table no longer than the highest open descriptor + 1
+  }
   return OkResult();
 }
 
@@ -36,21 +45,23 @@ Result<int> FdTable::Dup2(int oldfd, int newfd) {
   if (newfd == oldfd) {
     return newfd;
   }
-  if (slots_[static_cast<size_t>(newfd)] != nullptr) {
-    slots_[static_cast<size_t>(newfd)]->OnClose();
+  const auto slot = static_cast<size_t>(newfd);
+  if (slot >= slots_.size()) {
+    slots_.resize(slot + 1);
+  } else if (slots_[slot] != nullptr) {
+    slots_[slot]->OnClose();
   }
   file->OnDup();
-  slots_[static_cast<size_t>(newfd)] = std::move(file);
+  slots_[slot] = std::move(file);
   return newfd;
 }
 
 std::shared_ptr<FdTable> FdTable::Clone() const {
   auto clone = std::make_shared<FdTable>();
-  for (int fd = 0; fd < kMaxFds; ++fd) {
-    const auto& file = slots_[static_cast<size_t>(fd)];
+  clone->slots_ = slots_;
+  for (const auto& file : slots_) {
     if (file != nullptr) {
       file->OnDup();
-      clone->slots_[static_cast<size_t>(fd)] = file;
     }
   }
   return clone;
@@ -63,6 +74,7 @@ void FdTable::CloseAll() {
       slot.reset();
     }
   }
+  slots_.clear();
 }
 
 int FdTable::OpenCount() const {

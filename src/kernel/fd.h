@@ -54,7 +54,7 @@ inline constexpr int kMaxFds = 256;
 
 class FdTable {
  public:
-  // Installs the description at the lowest free slot.
+  // Installs the description at the lowest free slot (EMFILE once all kMaxFds are open).
   Result<int> Install(std::shared_ptr<OpenFile> file);
 
   Result<std::shared_ptr<OpenFile>> Get(int fd) const;
@@ -73,7 +73,9 @@ class FdTable {
   int OpenCount() const;
 
  private:
-  std::vector<std::shared_ptr<OpenFile>> slots_{kMaxFds};
+  // Indexed by descriptor and no longer than the highest open one + 1 (at most kMaxFds), so
+  // fork's Clone and exit's CloseAll touch only the slots a μprocess has used.
+  std::vector<std::shared_ptr<OpenFile>> slots_;
 };
 
 }  // namespace ufork

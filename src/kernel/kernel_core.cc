@@ -319,19 +319,7 @@ void KernelCore::ReleaseUprocMemory(Uproc& uproc) {
   // the barrier waiters behind it) never see the region split across two bases.
   compaction_->CancelMoveFor(uproc);
   const bool sas_region = uproc.owned_pt == nullptr;
-  std::vector<uint64_t> pages;
-  uproc.page_table->ForEachMapped(uproc.base, uproc.base + uproc.size,
-                                  [&pages](uint64_t va, const Pte&) { pages.push_back(va); });
-  bool frames_still_shared = false;
-  for (uint64_t va : pages) {
-    const FrameId frame = uproc.page_table->Unmap(va);
-    if (frame == kInvalidFrame) {
-      continue;  // not-present reservation: no frame ever existed
-    }
-    machine_.frames().Release(frame);
-    frames_still_shared |= machine_.frames().IsLive(frame);
-  }
-  uproc.file_mappings.clear();
+  const bool frames_still_shared = UnmapUprocImage(uproc, /*per_page=*/0);
   if (uproc.owned_pt != nullptr) {
     pt_owners_.erase(uproc.owned_pt.get());
     uproc.owned_pt.reset();
@@ -358,10 +346,28 @@ void KernelCore::ReleaseUprocMemory(Uproc& uproc) {
     region_by_base_.erase(uproc.base);
   }
   uproc.page_table = nullptr;
-  uproc.fault_around = {};  // speculative spans refer to unmapped pages now
   // Region churn is the compaction trigger's sampling point, exactly as frame release is the
   // admission controller's: every hole this teardown opened is visible here.
   compaction_->OnRegionChurn();
+}
+
+bool KernelCore::UnmapUprocImage(Uproc& uproc, Cycles per_page) {
+  bool frames_still_shared = false;
+  FrameAllocator& frames = machine_.frames();
+  uproc.page_table->UnmapRange(uproc.base, uproc.base + uproc.size,
+                               [&](uint64_t, FrameId frame) {
+                                 if (per_page != 0) {
+                                   machine_.Charge(per_page);
+                                 }
+                                 if (frame == kInvalidFrame) {
+                                   return;  // not-present reservation: no frame ever existed
+                                 }
+                                 frames.Release(frame);
+                                 frames_still_shared |= frames.IsLive(frame);
+                               });
+  uproc.file_mappings.clear();
+  uproc.fault_around = {};  // speculative spans refer to unmapped pages now
+  return frames_still_shared;
 }
 
 void KernelCore::RebaseRegionIndex(uint64_t old_base, uint64_t new_base, Pid pid) {

@@ -251,6 +251,11 @@ class KernelCore {
 
   // Releases all frames mapped in the μprocess region and the region itself.
   void ReleaseUprocMemory(Uproc& uproc);
+  // Unmaps the whole image — exit and exec share this — charging `per_page` for each in-use
+  // slot before releasing its frame (reservations hold none), and drops the file mappings and
+  // fault-around spans that named those pages. Returns whether a released frame is still
+  // live, i.e. shared with a fork partner.
+  bool UnmapUprocImage(Uproc& uproc, Cycles per_page);
 
   // Re-keys the SAS region-base index after compaction moves a region. Without this the index
   // entry stays keyed at the old base: UprocByAddress would resolve stale addresses to the

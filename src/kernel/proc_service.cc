@@ -309,16 +309,9 @@ void ProcService::RegisterProgram(std::string name, UprocEntry entry) {
 }
 
 Result<void> ProcService::ResetUprocImage(Uproc& uproc) {
-  // Tear down every mapping (shared windows included: POSIX drops mappings on exec) and build
-  // a fresh zeroed image.
-  Machine& machine = kernel_.machine();
-  std::vector<uint64_t> pages;
-  uproc.page_table->ForEachMapped(uproc.base, uproc.base + uproc.size,
-                                  [&pages](uint64_t va, const Pte&) { pages.push_back(va); });
-  for (const uint64_t va : pages) {
-    machine.Charge(kernel_.costs().pte_update / 4);
-    machine.frames().Release(uproc.page_table->Unmap(va));
-  }
+  // Tear down every mapping (shared windows and file mappings included: POSIX drops mappings
+  // on exec) and build a fresh zeroed image.
+  kernel_.UnmapUprocImage(uproc, kernel_.costs().pte_update / 4);
   UF_RETURN_IF_ERROR(kernel_.MapFreshImage(uproc));
   uproc.mmap_cursor = uproc.base + kernel_.layout().mmap_off();
   kernel_.InstallArchCaps(uproc);

@@ -76,11 +76,6 @@ Result<FrameId> FrameAllocator::TakeFreeId() {
   return id;
 }
 
-void FrameAllocator::AddRef(FrameId id) {
-  UF_CHECK(IsLive(id));
-  ++slots_[id].refcount;
-}
-
 void FrameAllocator::Release(FrameId id) {
   UF_CHECK(id < slots_.size());
   Slot& slot = slots_[id];

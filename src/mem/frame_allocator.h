@@ -55,7 +55,10 @@ class FrameAllocator {
   Result<void> AllocateForCopy(std::span<FrameId> out);
 
   // Increments the sharing count (a new PTE now maps this frame).
-  void AddRef(FrameId id);
+  void AddRef(FrameId id) {
+    UF_CHECK(IsLive(id));
+    ++slots_[id].refcount;
+  }
 
   // Decrements the sharing count; frees the frame when it drops to zero.
   void Release(FrameId id);

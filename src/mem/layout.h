@@ -101,6 +101,14 @@ class UprocLayout {
     return offset >= heap_off_ && offset < heap_off_ + kPageSize;
   }
 
+  // Exclusive end offset of the run containing `offset` over which fork treats every page
+  // alike: one segment (so one set of segment flags) and one IsProactiveCopyPage answer.
+  uint64_t ForkRunEndOf(uint64_t offset) const {
+    const uint64_t end = SegmentEndOf(offset);
+    const uint64_t metadata_end = heap_off_ + kPageSize;
+    return offset < metadata_end && metadata_end < end ? metadata_end : end;
+  }
+
   const LayoutConfig& config() const { return config_; }
 
  private:

@@ -1,7 +1,5 @@
 #include "src/mem/page_table.h"
 
-#include <vector>
-
 #include "src/base/units.h"
 
 namespace ufork {
@@ -25,13 +23,15 @@ struct PageTable::Table {
 PageTable::PageTable() : root_(std::make_unique<Table>()), node_count_(1) {}
 PageTable::~PageTable() = default;
 
-Pte* PageTable::Walk(uint64_t va, bool create) {
+Pte* PageTable::FindLeaf(uint64_t va, bool create, uint64_t* next) {
   UF_DCHECK(va < kVaTop);
   Table* t = root_.get();
   for (int level = 0; level < kLevels - 1; ++level) {
     Table*& child = t->children[IndexAt(va, level)];
     if (child == nullptr) {
       if (!create) {
+        const uint64_t span = 1ULL << (12 + kBitsPerLevel * (kLevels - 1 - level));
+        *next = AlignDown(va, span) + span;
         return nullptr;
       }
       child = new Table();
@@ -39,6 +39,7 @@ Pte* PageTable::Walk(uint64_t va, bool create) {
     }
     t = child;
   }
+  *next = AlignDown(va, kLeafSpan) + kLeafSpan;
   if (t->ptes == nullptr) {
     if (!create) {
       return nullptr;
@@ -46,37 +47,21 @@ Pte* PageTable::Walk(uint64_t va, bool create) {
     t->ptes = new std::array<Pte, kFanout>();
     ++node_count_;
   }
-  return &(*t->ptes)[IndexAt(va, kLevels - 1)];
+  return t->ptes->data();
+}
+
+Pte* PageTable::Walk(uint64_t va, bool create) {
+  uint64_t next = 0;
+  Pte* leaf = FindLeaf(va, create, &next);
+  return leaf == nullptr ? nullptr : leaf + LeafIndex(va);
 }
 
 const Pte* PageTable::WalkConst(uint64_t va) const {
-  UF_DCHECK(va < kVaTop);
-  const Table* t = root_.get();
-  for (int level = 0; level < kLevels - 1; ++level) {
-    const Table* child = t->children[IndexAt(va, level)];
-    if (child == nullptr) {
-      return nullptr;
-    }
-    t = child;
-  }
-  const auto* ptes = t->ptes;
-  if (ptes == nullptr) {
-    return nullptr;
-  }
-  return &(*ptes)[IndexAt(va, kLevels - 1)];
+  return const_cast<PageTable*>(this)->Walk(va, /*create=*/false);
 }
 
 void PageTable::Map(uint64_t va, FrameId frame, uint32_t flags) {
-  Pte* pte = Walk(va, /*create=*/true);
-  UF_CHECK_MSG(!PteInUse(*pte), "mapping an already mapped page");
-  UF_CHECK_MSG(frame != kInvalidFrame || (flags & kPteNotPresent) != 0,
-               "frame-less mapping without kPteNotPresent");
-  pte->frame = frame;
-  pte->flags = flags;
-  ++mapped_pages_;
-  if (frame == kInvalidFrame) {
-    ++not_present_pages_;
-  }
+  Install(*Walk(va, /*create=*/true), Pte{frame, flags});
 }
 
 FrameId PageTable::Unmap(uint64_t va) {
@@ -144,50 +129,6 @@ Pte* PageTable::LookupMutable(uint64_t va) {
     return nullptr;
   }
   return pte;
-}
-
-void PageTable::ForEachMapped(uint64_t lo, uint64_t hi,
-                              const std::function<void(uint64_t, Pte&)>& fn) {
-  // Iterative page-by-page walk over the range, skipping unmapped subtrees level by level.
-  uint64_t va = AlignDown(lo, kPageSize);
-  while (va < hi) {
-    Table* t = root_.get();
-    uint64_t skip = kVaTop;  // bytes to skip if subtree missing
-    bool missing = false;
-    for (int level = 0; level < kLevels - 1; ++level) {
-      const int shift = 12 + kBitsPerLevel * (kLevels - 1 - level);
-      skip = 1ULL << shift;
-      Table* child = t->children[IndexAt(va, level)];
-      if (child == nullptr) {
-        missing = true;
-        break;
-      }
-      t = child;
-    }
-    if (missing) {
-      va = AlignDown(va, skip) + skip;
-      continue;
-    }
-    auto* ptes = t->ptes;
-    if (ptes == nullptr) {
-      va = AlignDown(va, kPageSize * kFanout) + kPageSize * kFanout;
-      continue;
-    }
-    // Scan the leaf table from the current index to its end.
-    uint64_t idx = IndexAt(va, kLevels - 1);
-    for (; idx < kFanout && va < hi; ++idx, va += kPageSize) {
-      Pte& pte = (*ptes)[idx];
-      if (PteInUse(pte)) {
-        fn(va, pte);
-      }
-    }
-  }
-}
-
-void PageTable::ForEachMapped(uint64_t lo, uint64_t hi,
-                              const std::function<void(uint64_t, const Pte&)>& fn) const {
-  const_cast<PageTable*>(this)->ForEachMapped(
-      lo, hi, [&fn](uint64_t va, Pte& pte) { fn(va, pte); });
 }
 
 uint64_t PageTable::CountMapped(uint64_t lo, uint64_t hi) const {

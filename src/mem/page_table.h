@@ -13,14 +13,15 @@
 #ifndef UFORK_SRC_MEM_PAGE_TABLE_H_
 #define UFORK_SRC_MEM_PAGE_TABLE_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
 
 #include "src/base/status.h"
+#include "src/base/units.h"
 #include "src/mem/frame_allocator.h"
 
 namespace ufork {
@@ -47,10 +48,11 @@ enum PteFlags : uint32_t {
 struct Pte {
   FrameId frame = kInvalidFrame;
   uint32_t flags = 0;
+  bool operator==(const Pte&) const = default;
 };
 
 // A PTE slot is *in use* if it holds a frame or a demand-paging reservation; only in-use
-// slots are returned by Lookup and visited by ForEachMapped. A slot with kInvalidFrame and
+// slots are returned by Lookup and visited by the sweeps. A slot with kInvalidFrame and
 // no kPteNotPresent bit is free (the historical "unmapped" sentinel).
 inline bool PteInUse(const Pte& pte) {
   return pte.frame != kInvalidFrame || (pte.flags & kPteNotPresent) != 0;
@@ -90,11 +92,33 @@ class PageTable {
   std::optional<Pte> Lookup(uint64_t va) const;
   Pte* LookupMutable(uint64_t va);
 
-  // Invokes fn(page_va, pte) for every mapped page in [lo, hi), in address order.
-  void ForEachMapped(uint64_t lo, uint64_t hi,
-                     const std::function<void(uint64_t, Pte&)>& fn);
-  void ForEachMapped(uint64_t lo, uint64_t hi,
-                     const std::function<void(uint64_t, const Pte&)>& fn) const;
+  // Leaf-run sweeps (DESIGN.md §4.1): each walks the radix tree once per 2 MiB leaf, skips
+  // missing subtrees whole, and visits in-use slots in address order. fn may rewrite a
+  // visited PTE's flags but not its frame; it may map or unmap pages outside the swept range.
+
+  // Invokes fn(page_va, pte) for every in-use slot in [lo, hi).
+  template <typename Fn>
+  void ForEachMapped(uint64_t lo, uint64_t hi, Fn&& fn);
+  template <typename Fn>
+  void ForEachMapped(uint64_t lo, uint64_t hi, Fn&& fn) const {
+    const_cast<PageTable*>(this)->ForEachMapped(
+        lo, hi, [&fn](uint64_t va, const Pte& pte) { fn(va, pte); });
+  }
+
+  // Unmaps every in-use slot in [lo, hi), calling fn(page_va, frame) after each one; a
+  // reservation unmaps to kInvalidFrame. Radix nodes stay allocated, as with Unmap.
+  template <typename Fn>
+  void UnmapRange(uint64_t lo, uint64_t hi, Fn&& fn);
+
+  // Duplicates the in-use slots of [src_lo, src_lo + bytes) into `dst` (this table or
+  // another) at the same offsets from dst_lo; the two ranges must not overlap and every
+  // destination slot must be free. fn(src_va, src_pte) returns the PTE to install — its frame
+  // reference is the caller's, as with Map — or nullopt to stop the sweep there, leaving that
+  // slot's destination free. Each run is the shorter of the source and destination leaf
+  // runs, and a destination leaf is created only when a PTE is installed in it, so the radix
+  // nodes allocated equal those of a per-page Map loop. Returns false if fn stopped it.
+  template <typename Fn>
+  bool CloneRange(PageTable& dst, uint64_t src_lo, uint64_t dst_lo, uint64_t bytes, Fn&& fn);
 
   uint64_t CountMapped(uint64_t lo, uint64_t hi) const;
 
@@ -119,19 +143,105 @@ class PageTable {
 
   struct Table;  // interior node: children tables or leaf PTE array
 
+  static constexpr uint64_t kLeafSpan = kFanout * kPageSize;  // VA covered by one leaf
+
   static uint64_t IndexAt(uint64_t va, int level) {
     const int shift = 12 + kBitsPerLevel * (kLevels - 1 - level);
     return (va >> shift) & (kFanout - 1);
   }
+  static uint64_t LeafIndex(uint64_t va) { return IndexAt(va, kLevels - 1); }
 
   Pte* Walk(uint64_t va, bool create);
   const Pte* WalkConst(uint64_t va) const;
+  // The PTE array of the leaf covering `va` (creating missing nodes if `create`), or nullptr.
+  // *next receives the first VA past that leaf, or past the missing subtree that stopped the
+  // walk — where a sweep resumes.
+  Pte* FindLeaf(uint64_t va, bool create, uint64_t* next);
+  // Fills the free slot `slot` with `pte` and counts it (Map's checks and bookkeeping).
+  void Install(Pte& slot, const Pte& pte) {
+    UF_CHECK_MSG(!PteInUse(slot), "mapping an already mapped page");
+    UF_CHECK_MSG(pte.frame != kInvalidFrame || (pte.flags & kPteNotPresent) != 0,
+                 "frame-less mapping without kPteNotPresent");
+    slot = pte;
+    ++mapped_pages_;
+    if (pte.frame == kInvalidFrame) {
+      ++not_present_pages_;
+    }
+  }
 
   std::unique_ptr<Table> root_;
   uint64_t mapped_pages_ = 0;
   uint64_t not_present_pages_ = 0;
   uint64_t node_count_ = 0;
 };
+
+template <typename Fn>
+void PageTable::ForEachMapped(uint64_t lo, uint64_t hi, Fn&& fn) {
+  uint64_t va = AlignDown(lo, kPageSize);
+  while (va < hi) {
+    uint64_t next = 0;
+    Pte* leaf = FindLeaf(va, /*create=*/false, &next);
+    if (leaf != nullptr) {
+      const uint64_t end = std::min(next, hi);
+      for (uint64_t i = LeafIndex(va); va < end; ++i, va += kPageSize) {
+        if (PteInUse(leaf[i])) {
+          fn(va, leaf[i]);
+        }
+      }
+    }
+    va = next;
+  }
+}
+
+template <typename Fn>
+void PageTable::UnmapRange(uint64_t lo, uint64_t hi, Fn&& fn) {
+  ForEachMapped(lo, hi, [&](uint64_t va, Pte& pte) {
+    const FrameId frame = pte.frame;
+    pte = Pte{};
+    mapped_pages_ -= 1;
+    if (frame == kInvalidFrame) {
+      not_present_pages_ -= 1;
+    }
+    fn(va, frame);
+  });
+}
+
+template <typename Fn>
+bool PageTable::CloneRange(PageTable& dst, uint64_t src_lo, uint64_t dst_lo, uint64_t bytes,
+                           Fn&& fn) {
+  UF_DCHECK(src_lo % kPageSize == 0 && dst_lo % kPageSize == 0);
+  UF_DCHECK(&dst != this || src_lo + bytes <= dst_lo || dst_lo + bytes <= src_lo);
+  const uint64_t src_hi = src_lo + bytes;
+  uint64_t va = src_lo;
+  while (va < src_hi) {
+    uint64_t src_next = 0;
+    Pte* src_leaf = FindLeaf(va, /*create=*/false, &src_next);
+    if (src_leaf == nullptr) {
+      va = src_next;
+      continue;
+    }
+    const uint64_t dst_va = dst_lo + (va - src_lo);
+    const uint64_t dst_room = AlignDown(dst_va, kLeafSpan) + kLeafSpan - dst_va;
+    const uint64_t end = std::min({src_next, src_hi, va + dst_room});
+    Pte* dst_leaf = nullptr;
+    for (uint64_t i = LeafIndex(va), j = LeafIndex(dst_va); va < end;
+         ++i, ++j, va += kPageSize) {
+      if (!PteInUse(src_leaf[i])) {
+        continue;
+      }
+      const std::optional<Pte> pte = fn(va, src_leaf[i]);
+      if (!pte.has_value()) {
+        return false;
+      }
+      if (dst_leaf == nullptr) {
+        uint64_t unused = 0;
+        dst_leaf = dst.FindLeaf(dst_va, /*create=*/true, &unused);
+      }
+      dst.Install(dst_leaf[j], *pte);
+    }
+  }
+  return true;
+}
 
 }  // namespace ufork
 

@@ -39,16 +39,18 @@ bool OwnerQuiescent(Kernel& kernel, const Uproc& uproc) {
 // considered.
 class UforkRegionMover : public RegionMover {
  public:
-  UforkRegionMover(Kernel& kernel, Uproc& uproc, uint64_t new_base,
-                   std::vector<std::pair<uint64_t, Pte>> pages, bool batched_remap,
+  UforkRegionMover(Kernel& kernel, Uproc& uproc, uint64_t new_base, bool batched_remap,
                    CompactionStats& stats)
       : kernel_(kernel),
         uproc_(uproc),
         old_base_(uproc.base),
         new_base_(new_base),
-        pages_(std::move(pages)),
         batched_remap_(batched_remap),
-        stats_(stats) {}
+        stats_(stats) {
+    uproc.page_table->ForEachMapped(
+        uproc.base, uproc.base + uproc.size,
+        [this](uint64_t va, const Pte& pte) { pages_.emplace_back(va, pte); });
+  }
 
   uint64_t from_base() const override { return old_base_; }
   uint64_t to_base() const override { return new_base_; }
@@ -235,20 +237,13 @@ std::unique_ptr<UforkRegionMover> PlanNextMove(Kernel& kernel, uint64_t& cursor,
     // A region still CoW/CoPA-entangled with a fork partner must not move: the partner's
     // stale capabilities are resolved against this region's address. Shared-memory windows
     // (kPteShared) are fine — they are tag-free by construction.
-    PageTable& pt = *victim->page_table;
-    std::vector<std::pair<uint64_t, Pte>> pages;
     bool entangled = false;
-    pt.ForEachMapped(victim->base, victim->base + victim->size,
-                     [&](uint64_t va, const Pte& pte) {
-                       pages.emplace_back(va, pte);
-                       if ((pte.flags & kPteShared) == 0 && PtePopulated(pte) &&
-                           machine.frames().RefCount(pte.frame) > 1) {
-                         entangled = true;
-                       }
-                       if ((pte.flags & kPteCow) != 0) {
-                         entangled = true;
-                       }
-                     });
+    victim->page_table->ForEachMapped(
+        victim->base, victim->base + victim->size, [&](uint64_t, const Pte& pte) {
+          entangled |= (pte.flags & kPteCow) != 0 ||
+                       ((pte.flags & kPteShared) == 0 && PtePopulated(pte) &&
+                        machine.frames().RefCount(pte.frame) > 1);
+        });
     if (entangled) {
       ++stats.regions_skipped_shared;
       continue;
@@ -265,8 +260,8 @@ std::unique_ptr<UforkRegionMover> PlanNextMove(Kernel& kernel, uint64_t& cursor,
       ++stats.regions_skipped_grant_failed;
       continue;
     }
-    return std::make_unique<UforkRegionMover>(kernel, *victim, *candidate, std::move(pages),
-                                              batched_remap, stats);
+    return std::make_unique<UforkRegionMover>(kernel, *victim, *candidate, batched_remap,
+                                              stats);
   }
 }
 

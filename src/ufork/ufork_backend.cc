@@ -1,6 +1,7 @@
 #include "src/ufork/ufork_backend.h"
 
 #include <array>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -48,67 +49,25 @@ Result<Pid> UforkBackend::Fork(KernelCore& kernel, Uproc& parent, UprocEntry ent
 
   ForkStats stats;
   PageTable& pt = *parent.page_table;  // the shared table
-  std::vector<std::pair<uint64_t, Pte>> parent_pages;
-  parent_pages.reserve(layout.TotalPages());
-  pt.ForEachMapped(parent.base, parent.base + parent.size,
-                   [&](uint64_t va, const Pte& pte) { parent_pages.emplace_back(va, pte); });
-
   RelocationResult eager_reloc;
   RegionMemo eager_memo;  // source-interval cache shared across the whole eager sweep
-  // Full mid-fork rollback: release the half-built child (its shared mappings drop their extra
-  // frame references), drop the ghost shell, and restore every parent PTE the sweep demoted to
-  // CoW — after rollback the parent must look exactly as before the fork, or it would take
-  // spurious resolvable faults on pages that have no sharer.
-  const auto rollback = [&]() {
-    kernel.ReleaseUprocMemory(child);
-    kernel.DestroyUprocShell(child);
-    for (const auto& [va, original] : parent_pages) {
-      const std::optional<Pte> current = pt.Lookup(va);
-      if (current.has_value() && current->flags != original.flags) {
-        pt.SetFlags(va, original.flags);
-      }
-    }
+  Cycles swept = 0;       // per-page charges, summed: nothing in the sweep reads Now()
+  std::optional<Error> copy_failed;
+  // Parent PTEs this fork write-protected, as runs of equal original flags, so that a
+  // mid-fork rollback restores exactly those.
+  struct DemotedRun {
+    uint64_t lo;
+    uint64_t hi;
+    uint32_t flags;
   };
-  for (const auto& [parent_va, parent_pte] : parent_pages) {
-    const uint64_t offset = parent_va - parent.base;
-    const uint64_t child_va = child.base + offset;
-    const uint32_t seg_flags = kernel.SegmentFlagsAt(offset);
-    machine.Charge(costs.pte_dup);
+  std::vector<DemotedRun> demoted;
 
-    if (!PtePopulated(parent_pte)) {
-      // Demand reservation: the child inherits the lazy state verbatim — no frame to share,
-      // relocate, or CoW-protect; each side fills privately on first touch.
-      pt.Map(child_va, kInvalidFrame, parent_pte.flags);
-      ++stats.pages_reserved;
-      continue;
-    }
-    if ((parent_pte.flags & kPteShared) != 0) {
-      // MAP_SHARED window: the child maps the same frames writable — POSIX keeps shared
-      // mappings shared across fork; no CoW, no relocation (the window holds no tags).
-      machine.frames().AddRef(parent_pte.frame);
-      pt.Map(child_va, parent_pte.frame, parent_pte.flags);
-      ++stats.pages_mapped;
-      continue;
-    }
-    const bool proactive =
-        strategy == ForkStrategy::kFull || layout.IsProactiveCopyPage(offset);
-    if (proactive) {
-      auto copied = CopyAndRelocate(kernel, parent_pte.frame, child.base, child.size,
-                                    &eager_reloc, &eager_memo);
-      if (!copied.ok()) {
-        // Undo the half-built child completely: without DestroyUprocShell the shell would
-        // linger in the process table as a permanently-running ghost child and a subsequent
-        // wait() in the parent would block forever.
-        rollback();
-        return copied.error();
-      }
-      pt.Map(child_va, *copied, seg_flags);
-      ++stats.pages_copied_eagerly;
-      stats.bytes_copied_eagerly += kPageSize;
-      ++stats.pages_mapped;
-      continue;
-    }
-
+  // One leaf-run sweep per stretch of pages that share segment flags and the proactive-copy
+  // answer (DESIGN.md §4.1).
+  for (uint64_t off = 0; off < parent.size && !copy_failed;) {
+    const uint64_t run_end = layout.ForkRunEndOf(off);
+    const uint32_t seg_flags = kernel.SegmentFlagsAt(off);
+    const bool proactive = strategy == ForkStrategy::kFull || layout.IsProactiveCopyPage(off);
     // Shared mapping. The child side carries kPteCow (faults resolvable) and, under CoPA, the
     // load-cap-fault attribute; under CoA no access bits at all.
     uint32_t child_flags = 0;
@@ -117,24 +76,76 @@ Result<Pid> UforkBackend::Fork(KernelCore& kernel, Uproc& parent, UprocEntry ent
         child_flags = (seg_flags & ~kPteWrite) | kPteCow | kPteLoadCapFault;
         break;
       case ForkStrategy::kCoa:
-        // CoA shares pages *inaccessible* on the child side; clearing the parent's access
-        // bits one at a time (instead of CoPA's batched write-protect) costs slightly more.
-        machine.Charge(costs.coa_parent_clear);
         child_flags = kPteCow;
         break;
       case ForkStrategy::kUnsafeCow:
         child_flags = (seg_flags & ~kPteWrite) | kPteCow;
         break;
       case ForkStrategy::kFull:
-        UF_UNREACHABLE();
+        break;  // every private page is copied
     }
-    machine.frames().AddRef(parent_pte.frame);
-    pt.Map(child_va, parent_pte.frame, child_flags);
-    ++stats.pages_mapped;
-    // Write-protect the parent's writable pages so its writes also break the share (Fig. 2 ⓐ).
-    if ((parent_pte.flags & kPteWrite) != 0) {
-      pt.SetFlags(parent_va, (parent_pte.flags & ~kPteWrite) | kPteCow);
+    pt.CloneRange(
+        pt, parent.base + off, child.base + off, run_end - off,
+        [&](uint64_t parent_va, Pte& parent_pte) -> std::optional<Pte> {
+          swept += costs.pte_dup;
+          if (!PtePopulated(parent_pte)) {
+            // Demand reservation: the child inherits the lazy state verbatim — no frame to
+            // share, relocate, or CoW-protect; each side fills privately on first touch.
+            ++stats.pages_reserved;
+            return parent_pte;
+          }
+          ++stats.pages_mapped;
+          if ((parent_pte.flags & kPteShared) != 0) {
+            // MAP_SHARED window: the child maps the same frames writable — POSIX keeps shared
+            // mappings shared across fork; no CoW, no relocation (the window holds no tags).
+            machine.frames().AddRef(parent_pte.frame);
+            return parent_pte;
+          }
+          if (proactive) {
+            auto copied = CopyAndRelocate(kernel, parent_pte.frame, child.base, child.size,
+                                          &eager_reloc, &eager_memo);
+            if (!copied.ok()) {
+              copy_failed = copied.error();
+              return std::nullopt;
+            }
+            ++stats.pages_copied_eagerly;
+            stats.bytes_copied_eagerly += kPageSize;
+            return Pte{*copied, seg_flags};
+          }
+          if (strategy == ForkStrategy::kCoa) {
+            // CoA shares pages *inaccessible* on the child side; clearing the parent's access
+            // bits one at a time (instead of CoPA's batched write-protect) costs slightly more.
+            swept += costs.coa_parent_clear;
+          }
+          machine.frames().AddRef(parent_pte.frame);
+          // Write-protect the parent's writable pages so its writes also break the share
+          // (Fig. 2 ⓐ).
+          if ((parent_pte.flags & kPteWrite) != 0) {
+            if (!demoted.empty() && demoted.back().hi == parent_va &&
+                demoted.back().flags == parent_pte.flags) {
+              demoted.back().hi += kPageSize;
+            } else {
+              demoted.push_back({parent_va, parent_va + kPageSize, parent_pte.flags});
+            }
+            parent_pte.flags = (parent_pte.flags & ~kPteWrite) | kPteCow;
+          }
+          return Pte{parent_pte.frame, child_flags};
+        });
+    off = run_end;
+  }
+  machine.Charge(swept);
+  if (copy_failed) {
+    // Full mid-fork rollback: release the half-built child (its shared mappings drop their
+    // extra frame references) and drop the shell — a lingering one would be a permanently
+    // running ghost child that hangs the parent's wait(). Then restore every parent PTE the
+    // sweep demoted: the parent must look exactly as before the fork, or it would take
+    // spurious resolvable faults on pages that have no sharer.
+    kernel.ReleaseUprocMemory(child);
+    kernel.DestroyUprocShell(child);
+    for (const DemotedRun& run : demoted) {
+      pt.ForEachMapped(run.lo, run.hi, [&run](uint64_t, Pte& pte) { pte.flags = run.flags; });
     }
+    return *copy_failed;
   }
   stats.caps_relocated_eagerly = eager_reloc.relocated;
 

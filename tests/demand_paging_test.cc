@@ -439,6 +439,85 @@ TEST(DemandPaging, EagerMmapFileFillFailureFailsTheSyscall) {
   ASSERT_TRUE(kernel->CheckFrameAccounting().ok());
 }
 
+// --- exec of a demand-paged image (×3 systems) ----------------------------------------------
+
+// Writes `word` as the first eight bytes of a new file at `path`.
+SimTask<void> WriteWordFile(Guest& g, std::string path, uint64_t word) {
+  auto buf = g.Malloc(64);
+  CO_ASSERT_OK(buf);
+  CO_ASSERT_OK(g.StoreAt<uint64_t>(*buf, 0, word));
+  auto fd = co_await g.Open(std::move(path), kOpenWrite | kOpenCreate);
+  CO_ASSERT_OK(fd);
+  CO_ASSERT_OK(co_await g.Write(*fd, *buf, 8));
+  CO_ASSERT_OK(co_await g.Close(*fd));
+}
+
+TEST(DemandPaging, ExecTearsDownReservationsOnEverySystem) {
+  // A forked child still holds heap/stack/TLS reservations when it execs: the teardown must
+  // skip them (there is no frame to release) instead of aborting the host.
+  for (const System& system : kSystems) {
+    SCOPED_TRACE(system.name);
+    auto kernel = system.make(SmallConfig(/*demand=*/true));
+    kernel->procs().RegisterProgram("worker", MakeGuestEntry([](Guest& g) -> SimTask<void> {
+                              auto block = g.Malloc(64);
+                              CO_ASSERT_OK(block);
+                              CO_ASSERT_OK(g.StoreAt<uint64_t>(*block, 0, 42));
+                              co_await g.Exit(7);
+                            }));
+    auto pid = kernel->Spawn(MakeGuestEntry([](Guest& g) -> SimTask<void> {
+                               auto child = co_await g.Fork([](Guest& cg) -> SimTask<void> {
+                                 CO_ASSERT_TRUE(cg.uproc().page_table->not_present_pages() > 0);
+                                 (void)co_await cg.Exec("worker");
+                                 ADD_FAILURE() << "exec must not return on success";
+                               });
+                               CO_ASSERT_OK(child);
+                               auto waited = co_await g.Wait();
+                               CO_ASSERT_OK(waited);
+                               CO_ASSERT_EQ(waited->status, 7);
+                             }),
+                             "fork-exec");
+    ASSERT_TRUE(pid.ok());
+    kernel->Run();
+    EXPECT_TRUE(kernel->CheckFrameAccounting().ok());
+  }
+}
+
+TEST(DemandPaging, ExecDropsTheOldImagesFileMappings) {
+  // The old image maps /a; the exec'd image maps /b at the same address (the mmap zone starts
+  // over). Its first touch must fill from /b, not from the old image's stale /a mapping.
+  for (const System& system : kSystems) {
+    SCOPED_TRACE(system.name);
+    auto kernel = system.make(SmallConfig(/*demand=*/true));
+    uint64_t old_va = 0;
+    uint64_t new_va = 0;
+    uint64_t seen = 0;
+    kernel->procs().RegisterProgram(
+        "map-b", MakeGuestEntry([&new_va, &seen](Guest& g) -> SimTask<void> {
+          auto m = co_await g.MmapFile("/b", kPageSize);
+          CO_ASSERT_OK(m);
+          new_va = m->base();
+          auto word = g.Load<uint64_t>(*m, m->base());
+          CO_ASSERT_OK(word);
+          seen = *word;
+        }));
+    auto pid = kernel->Spawn(MakeGuestEntry([&old_va](Guest& g) -> SimTask<void> {
+                               co_await WriteWordFile(g, "/a", 0xAAAAu);
+                               co_await WriteWordFile(g, "/b", 0xBBBBu);
+                               auto m = co_await g.MmapFile("/a", kPageSize);
+                               CO_ASSERT_OK(m);
+                               old_va = m->base();
+                               (void)co_await g.Exec("map-b");
+                               ADD_FAILURE() << "exec must not return on success";
+                             }),
+                             "exec-remap");
+    ASSERT_TRUE(pid.ok());
+    kernel->Run();
+    EXPECT_EQ(new_va, old_va);
+    EXPECT_EQ(seen, 0xBBBBu);
+    EXPECT_TRUE(kernel->CheckFrameAccounting().ok());
+  }
+}
+
 // --- fleet footprint: the ratio the benchmark regression gate pins -----------------------------
 
 TEST(DemandPaging, SpawnedFleetFootprintAtLeastHalvesUnderDemand) {

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <tuple>
+#include <vector>
+
 #include "src/base/rng.h"
 #include "src/cheri/capability.h"
 
@@ -95,6 +99,124 @@ TEST(PageTable, NodeCountGrowsWithSpread) {
   EXPECT_EQ(pt.node_count(), n1);
   pt.Map(1ULL << 40, 3, kPteRead);  // far away: new subtree
   EXPECT_GT(pt.node_count(), n1);
+}
+
+// --- leaf-run sweeps against per-page references ----------------------------------------------
+
+constexpr uint64_t kLeafPages = 512;  // one leaf table spans 2 MiB
+constexpr uint64_t kImagePages = 1700;
+
+// An image starting 100 pages into a leaf and touching four leaves: frames, read-only pages,
+// reservations and holes, plus a run [900, 1500) that leaves the third leaf unallocated.
+void FillImage(PageTable& pt, uint64_t lo) {
+  for (uint64_t i = 0; i < kImagePages; ++i) {
+    const uint64_t va = lo + i * kPageSize;
+    if (i % 7 == 3 || (i >= 900 && i < 1500)) {
+      continue;
+    }
+    if (i % 11 == 5) {
+      pt.Map(va, kInvalidFrame, kPteNotPresent | kPteZeroFill);
+    } else {
+      pt.Map(va, i + 1, i % 3 == 0 ? kPteRead : kPteRw);
+    }
+  }
+}
+
+// A fork-like clone step: reservations copy verbatim, writable pages are write-protected on
+// both sides, and the sweep stops at the in-use page `stop_at` pages into the range.
+std::optional<Pte> CloneStep(uint64_t src_lo, uint64_t stop_at, uint64_t va, Pte& src) {
+  if (va == src_lo + stop_at * kPageSize) {
+    return std::nullopt;
+  }
+  if (!PtePopulated(src)) {
+    return src;
+  }
+  if ((src.flags & kPteWrite) != 0) {
+    src.flags = (src.flags & ~kPteWrite) | kPteCow;
+  }
+  return Pte{src.frame, src.flags | kPteLoadCapFault};
+}
+
+// Per-page reference for CloneRange: one Lookup and one Map per page.
+bool ReferenceClone(PageTable& src, PageTable& dst, uint64_t src_lo, uint64_t dst_lo,
+                    uint64_t stop_at) {
+  for (uint64_t off = 0; off < kImagePages * kPageSize; off += kPageSize) {
+    Pte* pte = src.LookupMutable(src_lo + off);
+    if (pte == nullptr) {
+      continue;
+    }
+    const std::optional<Pte> out = CloneStep(src_lo, stop_at, src_lo + off, *pte);
+    if (!out.has_value()) {
+      return false;
+    }
+    dst.Map(dst_lo + off, out->frame, out->flags);
+  }
+  return true;
+}
+
+std::vector<std::pair<uint64_t, Pte>> Dump(const PageTable& pt) {
+  std::vector<std::pair<uint64_t, Pte>> pages;
+  pt.ForEachMapped(0, kVaTop, [&](uint64_t va, const Pte& pte) { pages.emplace_back(va, pte); });
+  return pages;
+}
+
+void ExpectSameTables(const PageTable& a, const PageTable& b) {
+  EXPECT_EQ(Dump(a), Dump(b));
+  EXPECT_EQ(a.mapped_pages(), b.mapped_pages());
+  EXPECT_EQ(a.not_present_pages(), b.not_present_pages());
+  EXPECT_EQ(a.node_count(), b.node_count());
+}
+
+// Clones then unmaps the image with the sweeps and with the per-page reference, and requires
+// identical tables after each step: in one table (the μFork case) and across two (MAS), with
+// the destination misaligned to the source's leaves so runs split on both sides.
+TEST(PageTableSweeps, CloneAndUnmapMatchThePerPageReference) {
+  const uint64_t src_lo = (8 * kLeafPages + 100) * kPageSize;
+  const uint64_t dst_lo = (64 * kLeafPages + 300) * kPageSize;
+  const uint64_t bytes = kImagePages * kPageSize;
+  for (const bool one_table : {true, false}) {
+    // Run to the end, or stop at a mapped page (700), a reservation (1600), or the first
+    // in-use page whose destination leaf does not exist yet (725).
+    for (const uint64_t stop_at :
+         {kImagePages, uint64_t{700}, uint64_t{1600}, uint64_t{725}}) {
+      SCOPED_TRACE(testing::Message() << "one_table=" << one_table << " stop_at=" << stop_at);
+      PageTable ref_src;
+      PageTable ref_other;
+      PageTable src;
+      PageTable other;
+      FillImage(ref_src, src_lo);
+      FillImage(src, src_lo);
+      PageTable& ref_dst = one_table ? ref_src : ref_other;
+      PageTable& dst = one_table ? src : other;
+
+      const bool ref_done = ReferenceClone(ref_src, ref_dst, src_lo, dst_lo, stop_at);
+      const bool done = src.CloneRange(dst, src_lo, dst_lo, bytes, [&](uint64_t va, Pte& pte) {
+        return CloneStep(src_lo, stop_at, va, pte);
+      });
+      EXPECT_EQ(done, ref_done);
+      EXPECT_EQ(done, stop_at == kImagePages);
+      ExpectSameTables(src, ref_src);
+      ExpectSameTables(other, ref_other);
+
+      // Tear the clone down, and the source's middle, page by page and by range.
+      for (const auto& [lo, table, ref_table] :
+           {std::tuple{dst_lo, &dst, &ref_dst}, std::tuple{src_lo + 400 * kPageSize, &src,
+                                                           &ref_src}}) {
+        std::vector<std::pair<uint64_t, FrameId>> ref_freed;
+        for (uint64_t va = lo; va < lo + bytes / 2; va += kPageSize) {
+          if (ref_table->Lookup(va).has_value()) {
+            ref_freed.emplace_back(va, ref_table->Unmap(va));
+          }
+        }
+        std::vector<std::pair<uint64_t, FrameId>> freed;
+        table->UnmapRange(lo, lo + bytes / 2,
+                          [&](uint64_t va, FrameId frame) { freed.emplace_back(va, frame); });
+        EXPECT_EQ(freed, ref_freed);
+        ExpectSameTables(src, ref_src);
+        ExpectSameTables(other, ref_other);
+      }
+    }
+  }
 }
 
 // Property: a randomized sequence of map/unmap operations matches a reference std::map model.

@@ -102,6 +102,74 @@ TEST(SyscallErrors, Dup2OntoSelfIsANoOpAndBadTargetsFail) {
   });
 }
 
+TEST(SyscallErrors, OpenReusesTheLowestFreeDescriptor) {
+  RunOnAllSystems([](Guest& g) -> SimTask<void> {
+    for (int expected = 0; expected < 3; ++expected) {
+      auto fd = co_await g.Open("/lowest", kOpenWrite | kOpenCreate);
+      CO_ASSERT_OK(fd);
+      CO_ASSERT_EQ(*fd, expected);
+    }
+    CO_ASSERT_OK(co_await g.Close(1));
+    auto reused = co_await g.Open("/lowest", kOpenWrite);
+    CO_ASSERT_OK(reused);
+    CO_ASSERT_EQ(*reused, 1);
+    // Closing the highest descriptor and reopening hands the same one back; a descriptor
+    // past the highest open one is EBADF.
+    CO_ASSERT_OK(co_await g.Close(2));
+    auto bogus = co_await g.Close(2);
+    CO_ASSERT_EQ(bogus.code(), Code::kErrBadFd);
+    auto top = co_await g.Open("/lowest", kOpenWrite);
+    CO_ASSERT_OK(top);
+    CO_ASSERT_EQ(*top, 2);
+  });
+}
+
+TEST(SyscallErrors, Dup2ToTheLastDescriptorIsInheritedAcrossFork) {
+  RunOnAllSystems([](Guest& g) -> SimTask<void> {
+    auto fd = co_await g.Open("/last-fd", kOpenWrite | kOpenCreate);
+    CO_ASSERT_OK(fd);
+    auto last = co_await g.Dup2(*fd, kMaxFds - 1);
+    CO_ASSERT_OK(last);
+    CO_ASSERT_EQ(*last, kMaxFds - 1);
+    CO_ASSERT_OK(co_await g.Close(*fd));
+    auto child = co_await g.Fork([](Guest& cg) -> SimTask<void> {
+      auto line = cg.PlaceString("inherited");
+      CO_ASSERT_OK(line);
+      auto written = co_await cg.Write(kMaxFds - 1, *line, 9);
+      CO_ASSERT_OK(written);
+      // Slot 0 is free again in the inherited table.
+      auto fresh = co_await cg.Open("/last-fd", kOpenRead);
+      CO_ASSERT_OK(fresh);
+      CO_ASSERT_EQ(*fresh, 0);
+      co_await cg.Exit(0);
+    });
+    CO_ASSERT_OK(child);
+    auto waited = co_await g.Wait();
+    CO_ASSERT_OK(waited);
+    CO_ASSERT_EQ(waited->status, 0);
+    auto size = co_await g.FileSize("/last-fd");
+    CO_ASSERT_OK(size);
+    CO_ASSERT_EQ(*size, 9u);
+    CO_ASSERT_OK(co_await g.Close(kMaxFds - 1));
+  });
+}
+
+TEST(SyscallErrors, OpenPastKMaxFdsIsEmfile) {
+  RunOnAllSystems([](Guest& g) -> SimTask<void> {
+    for (int expected = 0; expected < kMaxFds; ++expected) {
+      auto fd = co_await g.Open("/many", kOpenWrite | kOpenCreate);
+      CO_ASSERT_OK(fd);
+      CO_ASSERT_EQ(*fd, expected);
+    }
+    auto full = co_await g.Open("/many", kOpenWrite);
+    CO_ASSERT_EQ(full.code(), Code::kErrMfile);
+    CO_ASSERT_OK(co_await g.Close(100));
+    auto reused = co_await g.Open("/many", kOpenWrite);
+    CO_ASSERT_OK(reused);
+    CO_ASSERT_EQ(*reused, 100);
+  });
+}
+
 TEST(SyscallErrors, WaitWithNoChildrenReturnsEchild) {
   RunOnAllSystems([](Guest& g) -> SimTask<void> {
     auto waited = co_await g.Wait();

@@ -261,6 +261,152 @@ TEST(UforkEngine, ForkFailsCleanlyWhenPhysicalMemoryExhausted) {
   }
 }
 
+// --- the fork sweep against a per-page reference ---------------------------------------------
+
+// One in-use page of a region: offset, PTE and the frame's refcount (0 for a reservation).
+struct PageState {
+  uint64_t offset;
+  Pte pte;
+  uint32_t refs;
+  bool operator==(const PageState&) const = default;
+};
+
+// The region's in-use pages, read one Lookup at a time (independent of the sweeps under test).
+std::vector<PageState> Snapshot(Kernel& kernel, const Uproc& uproc) {
+  std::vector<PageState> pages;
+  const FrameAllocator& frames = kernel.machine().frames();
+  for (uint64_t off = 0; off < uproc.size; off += kPageSize) {
+    if (const std::optional<Pte> pte = uproc.page_table->Lookup(uproc.base + off)) {
+      pages.push_back({off, *pte, PtePopulated(*pte) ? frames.RefCount(pte->frame) : 0});
+    }
+  }
+  return pages;
+}
+
+// A spawned, not yet running μprocess whose image (4.7 MiB, three leaves) also holds a
+// MAP_SHARED page, a reservation in the mmap zone and a read-only page in a writable segment.
+Uproc& SpawnVariedParent(Kernel& kernel) {
+  auto pid = kernel.Spawn(MakeGuestEntry([](Guest&) -> SimTask<void> { co_return; }), "parent");
+  UF_CHECK(pid.ok());
+  Uproc& parent = *kernel.FindUproc(*pid);
+  const UprocLayout& layout = kernel.layout();
+  PageTable& pt = *parent.page_table;
+  pt.Map(parent.base + layout.mmap_off(), kernel.machine().frames().Allocate().value(),
+         kPteRw | kPteShared);
+  pt.Map(parent.base + layout.mmap_off() + kPageSize, kInvalidFrame,
+         kPteNotPresent | kPteZeroFill);
+  pt.SetFlags(parent.base + layout.data_off(), kPteRead);
+  return parent;
+}
+
+class ForkSweepTest
+    : public ::testing::TestWithParam<std::tuple<ForkStrategy, /*demand_paging=*/bool>> {};
+
+TEST_P(ForkSweepTest, ChildMatchesThePerPageReference) {
+  const auto [strategy, demand] = GetParam();
+  KernelConfig config;  // default layout: the image spans three 2 MiB leaves
+  config.strategy = strategy;
+  config.demand_paging = demand;
+  auto kernel = MakeUforkKernel(config);
+  Uproc& parent = SpawnVariedParent(*kernel);
+  const std::vector<PageState> before = Snapshot(*kernel, parent);
+  ASSERT_GT(parent.size, 2 * kMiB);
+
+  auto pid = kernel->backend().Fork(*kernel, parent,
+                                    MakeGuestEntry([](Guest&) -> SimTask<void> { co_return; }));
+  ASSERT_TRUE(pid.ok());
+  Uproc& child = *kernel->FindUproc(*pid);
+  const std::vector<PageState> parent_after = Snapshot(*kernel, parent);
+  const std::vector<PageState> child_after = Snapshot(*kernel, child);
+  ASSERT_EQ(parent_after.size(), before.size());
+  ASSERT_EQ(child_after.size(), before.size());
+
+  // Per-page reference: the state each parent page and its child copy must end in.
+  const UprocLayout& layout = kernel->layout();
+  for (size_t i = 0; i < before.size(); ++i) {
+    const PageState& old = before[i];
+    SCOPED_TRACE(old.offset);
+    const uint32_t seg = kernel->SegmentFlagsAt(old.offset);
+    PageState parent_ref = old;
+    PageState child_ref = old;
+    if (!PtePopulated(old.pte)) {
+      // Reservations are inherited verbatim.
+    } else if ((old.pte.flags & kPteShared) != 0) {
+      parent_ref.refs = child_ref.refs = old.refs + 1;
+    } else if (strategy == ForkStrategy::kFull || layout.IsProactiveCopyPage(old.offset)) {
+      child_ref.pte = Pte{child_after[i].pte.frame, seg};
+      child_ref.refs = 1;
+      EXPECT_NE(child_after[i].pte.frame, old.pte.frame);
+    } else {
+      parent_ref.refs = child_ref.refs = old.refs + 1;
+      if ((old.pte.flags & kPteWrite) != 0) {
+        parent_ref.pte.flags = (old.pte.flags & ~kPteWrite) | kPteCow;
+      }
+      child_ref.pte.flags = strategy == ForkStrategy::kCoa ? uint32_t{kPteCow}
+                            : strategy == ForkStrategy::kCopa
+                                ? (seg & ~kPteWrite) | kPteCow | kPteLoadCapFault
+                                : (seg & ~kPteWrite) | kPteCow;
+    }
+    EXPECT_EQ(parent_after[i], parent_ref);
+    EXPECT_EQ(child_after[i], child_ref);
+  }
+  kernel->Run();
+  EXPECT_TRUE(kernel->CheckFrameAccounting().ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Strategies, ForkSweepTest,
+    ::testing::Combine(::testing::Values(ForkStrategy::kCopa, ForkStrategy::kCoa,
+                                         ForkStrategy::kFull, ForkStrategy::kUnsafeCow),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<ForkSweepTest::ParamType>& tpi) {
+      return std::string(ForkStrategyName(std::get<0>(tpi.param))) +
+             (std::get<1>(tpi.param) ? "Paged" : "Eager");
+    });
+
+// A proactive copy fails past the first 2 MiB leaf; the rollback must leave the parent's
+// PTEs and refcounts exactly as before the fork. Under Full the 600th page copy fails; under
+// CoPA a 3 MiB data segment is write-protected across the leaf boundary before the allocator
+// metadata page's copy (after the GOT's) fails.
+TEST(UforkEngine, ForkRollbackAcrossALeafBoundaryRestoresTheParent) {
+  struct Case {
+    ForkStrategy strategy;
+    uint64_t data_size;
+    uint64_t failing_alloc;
+  };
+  const LayoutConfig defaults;
+  const Case cases[] = {
+      {ForkStrategy::kFull, defaults.data_size, 600},
+      {ForkStrategy::kCopa, 3 * kMiB, defaults.got_size / kPageSize + 1},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(ForkStrategyName(c.strategy));
+    KernelConfig config;
+    config.strategy = c.strategy;
+    config.layout.data_size = c.data_size;
+    auto kernel = MakeUforkKernel(config);
+    Uproc& parent = SpawnVariedParent(*kernel);
+    const std::vector<PageState> before = Snapshot(*kernel, parent);
+    const uint64_t frames0 = kernel->machine().frames().frames_in_use();
+    const uint64_t mapped0 = kernel->shared_page_table().mapped_pages();
+
+    kernel->fault_injector().Arm(FaultSite::kFrameAlloc, FaultPolicy::Nth(c.failing_alloc));
+    auto pid = kernel->backend().Fork(
+        *kernel, parent, MakeGuestEntry([](Guest&) -> SimTask<void> { co_return; }));
+    kernel->fault_injector().DisarmAll();
+    ASSERT_EQ(pid.code(), Code::kErrNoMem);
+    if (c.strategy == ForkStrategy::kCopa) {
+      // The demoted data segment crosses the first leaf boundary.
+      EXPECT_GT(kernel->layout().data_off() + c.data_size, 2 * kMiB);
+    }
+    EXPECT_EQ(Snapshot(*kernel, parent), before);
+    EXPECT_EQ(kernel->machine().frames().frames_in_use(), frames0);
+    EXPECT_EQ(kernel->shared_page_table().mapped_pages(), mapped0);
+    EXPECT_TRUE(parent.children.empty());
+    EXPECT_TRUE(kernel->CheckFrameAccounting().ok());
+  }
+}
+
 // --- compaction ----------------------------------------------------------------------------
 
 // Parks the calling μprocess on a named message queue until a waker posts to it — a genuine
