@@ -10,6 +10,9 @@
 //   digest_lo32   low 32 bits of the campaign StateDigest — must be identical across every
 //                 backend/paging row of this bench (the differential assertion, visible in the
 //                 report without running the test suite)
+//
+// The attack.* rows of bench/gates.py check both counters across the six rows, and that
+// campaign virtual time orders μFork < MAS < VM clone.
 #include <memory>
 
 #include "bench/bench_common.h"

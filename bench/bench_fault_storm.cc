@@ -16,7 +16,7 @@
 // window of that many pages. window=1 is the pre-fault-around resolver and the baseline the
 // EXPERIMENTS.md "Fault storm" table normalizes against. Iteration time is the post-fork
 // virtual elapsed; `fault_Mcycles` is KernelStats::fault_cycles (trap + resolution charges
-// only), the deterministic quantity bench/check_regression.py gates on.
+// only), the deterministic quantity the storm.adaptive_gain row of bench/gates.py gates on.
 #include "bench/redis_bench_util.h"
 
 namespace ufork {

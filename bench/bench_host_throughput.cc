@@ -22,8 +22,9 @@
 //     teardown: CloneRange then UnmapRange over a hello-sized and a Redis-sized image (the
 //     per-layer row for the page table).
 //
-// `bench/run_benches.sh` writes the JSON results to BENCH_host_throughput.json; EXPERIMENTS.md
-// records the trajectory. Virtual-time results are pinned separately by
+// Host time is gated only by a paired same-host A/B, `bench/gates.py --ab REV`: every row runs
+// alone against REV's build, alternating sides, and fails if its median cpu_time ratio exceeds
+// 1.10 (EXPERIMENTS.md "Host throughput"). Virtual-time results are pinned separately by
 // tests/golden_cycles_test.cc — host optimizations must move THIS file's numbers and nothing
 // there.
 #include <chrono>
@@ -164,9 +165,9 @@ constexpr int kHttpdWorkers = 256;
 // Memory footprint of a 256-worker httpd-style fleet (DESIGN.md §4.12): every worker is
 // posix_spawned from the same image and mmaps the same config file through the unified page
 // cache. Arg 0 = eager population, Arg 1 = demand paging. The figure of merit is the
-// `resident_frames` counter sampled while the whole fleet is live — check_regression.py's
-// footprint-gate pins demand ≤ 0.5× eager. `reserved_mb` records the VA the demand fleet
-// holds as frame-less reservations instead.
+// `resident_frames` counter sampled while the whole fleet is live — the
+// footprint.demand_over_eager row of bench/gates.py pins demand ≤ 0.5× eager. `reserved_mb`
+// records the VA the demand fleet holds as frame-less reservations instead.
 void HttpdFleetFootprint(::benchmark::State& state) {
   const bool demand = state.range(0) != 0;
   SystemConfig sc;

@@ -18,7 +18,7 @@
 // failure mode admission control exists to prevent).
 //
 // The 1x rate point is calibrated to saturate the machine; 2x is overload. Acceptance
-// (gated by check_regression.py overload-gate):
+// (gated by the overload.* rows of bench/gates.py):
 //   - goodput at 2x >= 80% of goodput at 1x (admission sheds load instead of collapsing),
 //   - crashed == 0 with admission armed (rejection happens at the fork front door, with
 //     enough low-watermark headroom that admitted work always finishes),

@@ -546,7 +546,7 @@ TEST(DemandPaging, SpawnedFleetFootprintAtLeastHalvesUnderDemand) {
   }
   ASSERT_GT(resident[0], 0u);
   ASSERT_GT(resident[1], 0u);
-  // The regression gate in tools/check_regression.py pins this at ≤ 0.5× for the httpd
+  // The footprint.demand_over_eager row of bench/gates.py pins this at ≤ 0.5× for the httpd
   // fleet benchmark; the unit-level spawn fleet must clear the same bar.
   EXPECT_LE(resident[1] * 2, resident[0]);
 }
