@@ -131,10 +131,12 @@ struct ServiceStats {
   uint64_t rejected = 0;   // shed: fork/op refused with EAGAIN/ENOMEM (no child ever ran)
   uint64_t crashed = 0;    // children reaped with status >= 128 (uncontained OOM death)
   std::vector<Cycles> latencies;  // per-request: arrival due-time -> completion
+  bool dump_published = false;    // Redis only: a BGSAVE published a dump that verified
 
   bool operator==(const ServiceStats& o) const {
     return offered == o.offered && completed == o.completed && rejected == o.rejected &&
-           crashed == o.crashed && latencies == o.latencies;
+           crashed == o.crashed && latencies == o.latencies &&
+           dump_published == o.dump_published;
   }
 };
 
@@ -337,14 +339,16 @@ SimTask<void> RedisService(Guest& g, OpenLoopParams p, ServiceStats* stats) {
   }
   (void)co_await g.ThreadJoin(*reaper);
   // Snapshot integrity survived the storm. The BGSAVE child publishes via rename, which is
-  // atomic: a readable dump must always parse and checksum, storm or no storm. Under chaos
-  // the dump may be absent or unreadable (every BGSAVE or the verify read itself can be the
+  // atomic: a readable dump must always parse and checksum, storm or no storm. An absent dump
+  // (ENOENT: no BGSAVE ever published) is a result, reported as dump_published = 0. Under
+  // chaos the dump may also be unreadable (every BGSAVE or the verify read itself can be the
   // injected victim) — but a TORN published dump is a protocol violation in any mode.
   if (ops >= kOpsPerSnapshot) {
     auto dump = co_await db->VerifyDump("/fleet/redis.rdb");
     if (dump.ok()) {
       UF_CHECK_MSG(dump->entries > 0, "redis dump empty after overload run");
-    } else {
+      stats->dump_published = true;
+    } else if (dump.code() != Code::kErrNoEnt) {
       UF_CHECK_MSG(p.chaos, "redis dump corrupt after overload run");
     }
   }
@@ -557,6 +561,7 @@ void OverloadFleet(::benchmark::State& state, System system, bool admission) {
     state.counters["tenant_cap_rejections"] = static_cast<double>(r.tenant_cap_rejections);
     state.counters["forks"] = static_cast<double>(r.forks);
     state.counters["resident_frames"] = static_cast<double>(r.peak_resident_frames);
+    state.counters["dump_published"] = r.redis.dump_published ? 1.0 : 0.0;
   }
 }
 

@@ -102,6 +102,9 @@ def overload_rows(system):
             (">=", 0.8)),
         row("crashed", "no child dies of an uncontained ENOMEM at 1x or 2x",
             lambda read: read(fleet(10), "crashed") + read(fleet(20), "crashed"), ("==", 0)),
+        row("dump_published", "Redis publishes a verified BGSAVE dump at 1x and 2x",
+            lambda read: min(read(fleet(rate), "dump_published") for rate in (10, 20)),
+            ("==", 1)),
         row("goodput_vs_recorded", "goodput at 1x and 2x within 10% of BENCH_overload.json",
             lambda read: min(read(fleet(rate), "goodput_rps")
                              / read(fleet(rate), "goodput_rps", "BENCH_overload.json")

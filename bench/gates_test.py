@@ -15,7 +15,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import gates  # noqa: E402
 
 ATTACK = {"contained": 16, "digest_lo32": 2124370000}
-OVERLOAD = {f"OverloadFleet/{system}/{rate}": {"goodput_rps": goodput, "crashed": 0}
+OVERLOAD = {f"OverloadFleet/{system}/{rate}": {"goodput_rps": goodput, "crashed": 0,
+                                                "dump_published": 1}
             for system, goodputs in (("uFork", (17280, 27665)), ("CheriBSD", (17280, 34075)),
                                      ("Nephele", (7975, 15580)))
             for rate, goodput in zip((10, 20), goodputs)}

@@ -30,7 +30,8 @@ void RunOnce(ForkStrategy strategy) {
         const Cycles t0 = g.kernel().sched().Now();
         auto child = co_await db->BgSave("/var/redis/dump.rdb");
         UF_CHECK(child.ok());
-        const ForkStats& fork_stats = g.kernel().FindUproc(*child)->fork_stats;
+        // A copy: the wait() below reaps the child, and its Uproc with it.
+        const ForkStats fork_stats = g.kernel().FindUproc(*child)->fork_stats;
 
         // Keep serving while the snapshot runs: overwrite, insert, delete.
         for (int i = 0; i < 50; ++i) {

@@ -3,7 +3,6 @@
 #include "src/guest/tinyalloc.h"
 #include "src/kernel/fault_around.h"
 
-#include <array>
 #include <optional>
 #include <span>
 
@@ -14,11 +13,8 @@ Result<Pid> MasBackend::Fork(KernelCore& kernel, Uproc& parent, UprocEntry entry
   const CostModel& costs = kernel.costs();
   machine.Charge(costs.fork_base_mas);
 
-  Uproc& child = kernel.CreateUprocShell(parent.name + "+", parent.pid());
-  if (auto mem = kernel.AllocateUprocMemory(child, /*private_page_table=*/true); !mem.ok()) {
-    kernel.DestroyUprocShell(child);  // no ghost child on construction failure
-    return mem.error();
-  }
+  UF_ASSIGN_OR_RETURN(Uproc* const created, kernel.CreateUproc(parent.name + "+", parent.pid()));
+  Uproc& child = *created;
 
   ForkStats stats;
   PageTable& parent_pt = *parent.page_table;
@@ -46,43 +42,17 @@ Result<Pid> MasBackend::Fork(KernelCore& kernel, Uproc& parent, UprocEntry entry
         return pte;  // MAP_SHARED and read-only pages are shared as they are
       });
   machine.Charge(swept + costs.pt_node_alloc * child_pt.node_count());
-
-  child.fds = parent.fds->Clone();
-  machine.Charge(costs.fd_dup * static_cast<uint64_t>(child.fds->OpenCount()));
-  child.mmap_cursor = parent.mmap_cursor;
   // Same virtual layout: registers (and every capability in memory) stay valid verbatim.
   child.regs = parent.regs;
-  child.syscall_sentry = parent.syscall_sentry;
-  child.signals = parent.signals.ForkCopy();
-  child.forked_child = true;
-  child.fork_stats = stats;
-  child.child_affinity = parent.child_affinity;
-  kernel.StartUprocThread(child, std::move(entry), parent.child_affinity);
-  return child.pid();
+  return kernel.StartForkChild(parent, child, stats, std::move(entry));
 }
 
-Result<void> MasBackend::ResolveFault(KernelCore& kernel, const PageFaultInfo& info) {
-  Uproc* uproc = kernel.UprocByPageTable(info.page_table);
-  if (uproc == nullptr) {
-    return Error{Code::kFaultNotMapped, "fault against an unowned page table"};
-  }
-  PageTable& pt = *info.page_table;
-  Pte* pte = pt.LookupMutable(info.va);
-  if (pte == nullptr) {
-    // Guest-reachable: delivered to the faulting μprocess, never a host abort.
-    return Error{Code::kFaultNotMapped, "fault on unmapped page"};
-  }
-  if ((pte->flags & kPteNotPresent) != 0) {
-    return ResolveDemandFault(kernel, *uproc, pt, info, *pte);
-  }
-  if ((pte->flags & kPteCow) == 0 || !info.is_write) {
+Result<void> MasBackend::ResolveFault(KernelCore& kernel, Uproc& owner, PageTable& pt, Pte& pte,
+                                      const PageFaultInfo& info) {
+  if ((pte.flags & kPteCow) == 0 || !info.is_write) {
     return Error{Code::kFaultPageProt, "unresolvable page fault"};
   }
-  return ResolveCowWriteWindow(kernel, *uproc, pt, info, *pte);
-}
-
-void MasBackend::OnExit(KernelCore& kernel, Uproc& uproc) {
-  FaultAroundAccountExitWaste(kernel, uproc);
+  return ResolveCowWriteWindow(kernel, owner, pt, info, pte);
 }
 
 uint64_t MasBackend::ExtraResidencyBytes(const KernelCore& kernel, const Uproc& uproc) const {

@@ -31,6 +31,9 @@ class MasBackend : public ForkBackend {
   const char* name() const override { return "CheriBSD-MAS"; }
   SyscallEntryKind syscall_kind() const override { return SyscallEntryKind::kTrap; }
   bool private_page_tables() const override { return true; }
+  // A monolithic kernel locks at fine grain; the baseline models that as lock-free kernel
+  // sections, so its virtual timings carry no lock contention.
+  bool big_kernel_lock() const override { return false; }
 
   Cycles ContextSwitchCost(const CostModel& costs, Uproc* prev, Uproc* next) const override {
     Cycles cost = costs.context_switch;
@@ -41,8 +44,8 @@ class MasBackend : public ForkBackend {
   }
 
   Result<Pid> Fork(KernelCore& kernel, Uproc& parent, UprocEntry entry) override;
-  Result<void> ResolveFault(KernelCore& kernel, const PageFaultInfo& info) override;
-  void OnExit(KernelCore& kernel, Uproc& uproc) override;
+  Result<void> ResolveFault(KernelCore& kernel, Uproc& owner, PageTable& pt, Pte& pte,
+                            const PageFaultInfo& info) override;
   uint64_t ExtraResidencyBytes(const KernelCore& kernel, const Uproc& uproc) const override;
 
  private:

@@ -25,10 +25,6 @@ inline std::unique_ptr<Kernel> MakeUforkKernel(KernelConfig config = {}) {
 
 inline std::unique_ptr<Kernel> MakeMasKernel(KernelConfig config = {},
                                              MasParams params = {}) {
-  // A monolithic kernel has fine-grained locking, not Unikraft's big kernel lock. Model it as
-  // uncontended lock domains (zero acquire/release cost) rather than per-service locks so the
-  // baseline's virtual timings stay exactly what they were before lock domains existed.
-  config.lock_mode = LockMode::kUncontended;
   return std::make_unique<Kernel>(config, std::make_unique<MasBackend>(params));
 }
 

@@ -28,6 +28,7 @@ class VmCloneBackend : public ForkBackend {
   // in fork and VM switches.
   SyscallEntryKind syscall_kind() const override { return SyscallEntryKind::kSealedEntry; }
   bool private_page_tables() const override { return true; }
+  bool big_kernel_lock() const override { return true; }  // the guest is a Unikraft kernel
 
   Cycles ContextSwitchCost(const CostModel& costs, Uproc* prev, Uproc* next) const override {
     Cycles cost = costs.context_switch;
@@ -39,11 +40,10 @@ class VmCloneBackend : public ForkBackend {
 
   Result<Pid> Fork(KernelCore& kernel, Uproc& parent, UprocEntry entry) override;
 
-  // Clones never share memory across domains, so the only resolvable faults are demand fills
-  // and CoW breaks against the host's page cache (MmapFile); anything else is a bug.
-  Result<void> ResolveFault(KernelCore& kernel, const PageFaultInfo& info) override;
-
-  void OnExit(KernelCore& kernel, Uproc& uproc) override;
+  // Clones never share memory across domains, so the only resolvable faults on present pages
+  // are CoW breaks against the host's page cache (MmapFile); anything else is a bug.
+  Result<void> ResolveFault(KernelCore& kernel, Uproc& owner, PageTable& pt, Pte& pte,
+                            const PageFaultInfo& info) override;
 
   uint64_t ExtraResidencyBytes(const KernelCore& kernel, const Uproc& uproc) const override {
     (void)kernel, (void)uproc;

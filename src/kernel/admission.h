@@ -27,8 +27,9 @@
 // the worst park-to-resume latency in virtual cycles (aging observability).
 //
 // Everything is virtual-time deterministic, and the whole subsystem is golden-pinned OFF by
-// default: with OverloadConfig::enabled == false, Evaluate() is never consulted and no release
-// hook is installed, leaving every virtual cycle bit-identical to the historical kernel.
+// default: with OverloadConfig::enabled == false, Evaluate() is never consulted, and the
+// release hook KernelCore always installs returns at once from OnFramesFreed (it charges
+// nothing), leaving every virtual cycle bit-identical to the historical kernel.
 #ifndef UFORK_SRC_KERNEL_ADMISSION_H_
 #define UFORK_SRC_KERNEL_ADMISSION_H_
 

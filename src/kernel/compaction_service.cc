@@ -74,7 +74,7 @@ SimTask<void> CompactionService::RunService() {
   KernelStats& stats = core_.stats();
   const uint64_t budget = core_.config().compact_budget_pages;
   for (;;) {
-    VirtualLock* lock = core_.DomainLock(LockDomain::kCompact);
+    VirtualLock* lock = core_.kernel_lock();
     if (lock != nullptr) {
       co_await lock->Acquire();
     }

@@ -4,7 +4,7 @@
 // pass — a global pause proportional to the bytes moved, which is exactly what a serving
 // fleet's tail latency cannot absorb (bench_overload's p99/p999 gates). This service runs the
 // same planner/mover machinery as a low-priority simulated context instead: each quantum it
-// takes the kCompact lock domain, advances the in-flight region move by at most
+// takes the kernel lock, advances the in-flight region move by at most
 // KernelConfig::compact_budget_pages pages (or a budgeted slice of the revocation sweep),
 // records the quantum's duration against pause_cycles_max, and sleeps — mutators run between
 // quanta.

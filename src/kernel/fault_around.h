@@ -53,7 +53,7 @@ FaultWindow FaultAroundScan(KernelCore& kernel, Uproc& uproc, PageTable& pt,
 void FaultAroundCommit(KernelCore& kernel, Uproc& uproc, const FaultWindow& window);
 
 // Exit sweep: speculative pages from the μprocess's final window that were never touched are
-// waste too; count them before the region is released (called from backend OnExit).
+// waste too; count them before the region is released (called from both exit paths).
 void FaultAroundAccountExitWaste(KernelCore& kernel, Uproc& uproc);
 
 // Demand-fill resolution (DESIGN.md §4.12), shared by all three backends: populates a window

@@ -59,7 +59,7 @@ SimTask<Result<int64_t>> FileService::Read(Uproc& caller, int fd, Capability buf
   }
   std::shared_ptr<OpenFile> file = std::move(*file_or);
   kernel_.machine().Charge(file->IoFixedCost(kernel_.costs()));
-  scope.Leave();  // the transfer may block (pipes); do not hold the domain lock across it
+  scope.Leave();  // the transfer may block (pipes); do not hold the kernel lock across it
 
   std::vector<std::byte> kbuf(len);
   auto n = co_await file->Read(kbuf);

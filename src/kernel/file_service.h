@@ -1,7 +1,7 @@
 // FileService: VFS and descriptor-table syscalls and state.
 //
-// Owns the kFile lock domain: the ramdisk VFS plus every descriptor operation (open, close,
-// read, write, seek, dup2, unlink, rename, stat). Reads and writes drop the domain lock before
+// Owns the ramdisk VFS plus every descriptor operation (open, close, read, write, seek, dup2,
+// unlink, rename, stat). Reads and writes drop the kernel lock before
 // the transfer — pipe ends installed in descriptor tables may block — so the kernel never
 // sleeps holding a lock.
 #ifndef UFORK_SRC_KERNEL_FILE_SERVICE_H_

@@ -5,9 +5,12 @@
 //                                   trap-based syscalls, TLB flushes on context switch.
 //   * VM-clone baseline           — Nephele-like: hypervisor clones the whole unikernel.
 //
-// The kernel delegates fork, resolvable page faults, syscall entry flavour, context switch
-// pricing and residency accounting to the installed backend; everything else (μprocess state,
-// fds, VFS, pipes, scheduling) is shared, so workloads compare apples to apples.
+// The kernel delegates to the installed backend: fork's base charge, memory sweep and register
+// handling; the resolution of faults on present pages; syscall entry flavour; whether kernel
+// sections take a big kernel lock; context switch pricing; and residency accounting.
+// Everything else is shared, so workloads compare apples to apples: the fork child's shell and
+// inherited state (KernelCore::CreateUproc, StartForkChild), the fault's owner lookup and
+// demand fills, μprocess state, fds, VFS, pipes and scheduling.
 #ifndef UFORK_SRC_KERNEL_FORK_BACKEND_H_
 #define UFORK_SRC_KERNEL_FORK_BACKEND_H_
 
@@ -52,24 +55,28 @@ class ForkBackend {
   // the shared single-address-space table.
   virtual bool private_page_tables() const = 0;
 
+  // Whether kernel sections serialize on one big kernel lock, Unikraft's SMP mode (§4.5).
+  virtual bool big_kernel_lock() const = 0;
+
   // Additional cost when a core switches between these two threads (the kernel wires this into
   // the scheduler; uprocs may be null for kernel/idle threads).
   virtual Cycles ContextSwitchCost(const CostModel& costs, Uproc* prev, Uproc* next) const = 0;
 
-  // Creates the child: memory, fds, registers, PID, thread. Returns the child pid. Backends
-  // see only the KernelCore layer — process construction, machine, frames, locks — never the
-  // syscall services.
+  // Creates the child and returns its pid: charges the backend's fork cost, builds the child
+  // with KernelCore::CreateUproc, sweeps the parent's memory into it (rolling back on
+  // failure), sets its registers and hands it to KernelCore::StartForkChild. Backends see only
+  // the KernelCore layer — process construction, machine, frames — never the syscall services.
   virtual Result<Pid> Fork(KernelCore& kernel, Uproc& parent, UprocEntry entry) = 0;
 
-  // Resolves a CoW / capability-load page fault raised by the access engine.
-  virtual Result<void> ResolveFault(KernelCore& kernel, const PageFaultInfo& info) = 0;
+  // Resolves a fault on the present page `pte` of `owner`'s page table `pt` (a CoW or
+  // capability-load fault). The kernel has already found the owner and filled demand
+  // reservations.
+  virtual Result<void> ResolveFault(KernelCore& kernel, Uproc& owner, PageTable& pt, Pte& pte,
+                                    const PageFaultInfo& info) = 0;
 
   // Residency the PSS metric must add beyond frames mapped in the region (shared libraries,
   // guest-OS image, allocator dirtying — see DESIGN.md substitutions).
   virtual uint64_t ExtraResidencyBytes(const KernelCore& kernel, const Uproc& uproc) const = 0;
-
-  // Called when a μprocess exits, before its pages are released.
-  virtual void OnExit(KernelCore& kernel, Uproc& uproc) { (void)kernel, (void)uproc; }
 };
 
 }  // namespace ufork

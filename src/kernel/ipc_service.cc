@@ -186,7 +186,7 @@ SimTask<Result<void>> IpcService::FutexWait(Uproc& caller, Capability cap, uint6
     queue->set_resume_delay(kernel_.costs().sched_wakeup);
   }
   WaitQueue& wq = *queue;
-  scope.Leave();  // never block holding the domain lock
+  scope.Leave();  // never block holding the kernel lock
   co_await wq.Wait();
   co_return OkResult();
 }

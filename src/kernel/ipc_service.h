@@ -1,6 +1,6 @@
 // IpcService: inter-process-communication syscalls and state.
 //
-// Owns the kIpc lock domain: pipes, POSIX message queues, POSIX shared memory objects and
+// Owns pipes, POSIX message queues, POSIX shared memory objects and
 // futexes (keyed by physical location so MAP_SHARED futexes pair up across μprocesses).
 #ifndef UFORK_SRC_KERNEL_IPC_SERVICE_H_
 #define UFORK_SRC_KERNEL_IPC_SERVICE_H_

@@ -7,12 +7,12 @@
 // the sealed-entry capability check; argument validation and TOCTTOU protections are applied
 // per the configured isolation policy (§4.4).
 //
-// The kernel is layered (see DESIGN.md "Kernel layering and lock domains"):
+// The kernel is layered (see DESIGN.md "Kernel layering and the kernel lock"):
 //
-//   KernelCore (kernel_core.h)  machine, scheduler, address space, process table, lock
-//                               domains, μprocess construction. Fork backends see only this.
+//   KernelCore (kernel_core.h)  machine, scheduler, address space, process table, kernel
+//                               lock, μprocess construction. Fork backends see only this.
 //   ProcService / FileService / IpcService
-//                               the syscalls, one service per lock domain, each owning its
+//                               the syscalls, one service per subsystem, each owning its
 //                               subsystem state (programs, VFS, pipes/mqueues/shm/futexes).
 //   Kernel (this file)          composes the services; the Guest facade (the user ABI) and
 //                               applications call them directly through procs(), files()

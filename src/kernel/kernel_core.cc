@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/kernel/fault_around.h"
 #include "src/kernel/kernel.h"
 #include "src/kernel/page_cache.h"
 
@@ -55,24 +56,14 @@ KernelCore::KernelCore(const KernelConfig& config, std::unique_ptr<ForkBackend> 
       sched_(config.cores),
       machine_(MachineConfig{config.phys_mem_bytes / kPageSize, config.costs}),
       address_space_(kUserBase, kUserTop),
-      locks_(sched_, config.lock_mode),
       backend_(std::move(backend)),
       admission_(sched_, machine_.frames(), stats_, config.overload) {
   UF_CHECK_MSG(backend_ != nullptr, "a ForkBackend is required");
+  if (backend_->big_kernel_lock()) {
+    kernel_lock_ = std::make_unique<VirtualLock>(sched_);
+  }
   machine_.set_cycle_sink([this](Cycles c) { sched_.Charge(c); });
-  machine_.set_fault_resolver([this](const PageFaultInfo& info) {
-    // Frames the resolver copies into are charged to the faulting μprocess's tenant (the
-    // syscall-entry stamp may belong to a different μprocess on another core). The lookup
-    // is host-side only, so it is gated on caps actually being in force.
-    if (machine_.frames().tenant_caps_active()) [[unlikely]] {
-      Uproc* faulter = backend_->private_page_tables() ? UprocByPageTable(info.page_table)
-                                                       : UprocByAddress(info.va);
-      if (faulter != nullptr) {
-        machine_.frames().set_current_tenant(faulter->tenant);
-      }
-    }
-    return backend_->ResolveFault(*this, info);
-  });
+  machine_.set_fault_resolver([this](const PageFaultInfo& info) { return ResolveFault(info); });
   sched_.set_context_switch_hook([this](SimThread* prev, SimThread* next) {
     Uproc* prev_proc = prev != nullptr ? static_cast<Uproc*>(prev->context()) : nullptr;
     Uproc* next_proc = next != nullptr ? static_cast<Uproc*>(next->context()) : nullptr;
@@ -99,6 +90,30 @@ KernelCore::~KernelCore() = default;
 Kernel& KernelCore::AsKernel() {
   // KernelCore's constructor is protected and Kernel is its only subclass.
   return static_cast<Kernel&>(*this);
+}
+
+Result<void> KernelCore::ResolveFault(const PageFaultInfo& info) {
+  Uproc* owner = backend_->private_page_tables() ? UprocByPageTable(info.page_table)
+                                                 : UprocByAddress(info.va);
+  if (owner == nullptr) {
+    return Error{Code::kFaultNotMapped, "fault outside any μprocess"};
+  }
+  // Frames the resolver copies into are charged to the faulting μprocess's tenant (the
+  // syscall-entry stamp may belong to a different μprocess on another core).
+  if (machine_.frames().tenant_caps_active()) [[unlikely]] {
+    machine_.frames().set_current_tenant(owner->tenant);
+  }
+  PageTable& pt = *info.page_table;
+  Pte* pte = pt.LookupMutable(info.va);
+  if (pte == nullptr) {
+    // Guest-reachable (an access through a stale capability can fault inside an owned region
+    // on a page that was never mapped): delivered to the guest, never a host abort.
+    return Error{Code::kFaultNotMapped, "fault on unmapped page"};
+  }
+  if ((pte->flags & kPteNotPresent) != 0) {
+    return ResolveDemandFault(*this, *owner, pt, info, *pte);
+  }
+  return backend_->ResolveFault(*this, *owner, pt, *pte, info);
 }
 
 // --- μprocess lookup -----------------------------------------------------------------------
@@ -166,23 +181,56 @@ uint32_t KernelCore::SegmentFlagsAt(uint64_t offset) const {
 
 // --- μprocess construction ------------------------------------------------------------------
 
-Uproc& KernelCore::CreateUprocShell(std::string name, Pid parent) {
+Result<Uproc*> KernelCore::CreateUproc(std::string name, Pid parent) {
   const Pid pid = next_pid_++;
-  auto uproc = std::make_unique<Uproc>(pid, sched_);
-  uproc->name = std::move(name);
-  uproc->parent_pid = parent;
-  Uproc& ref = *uproc;
-  uprocs_.emplace(pid, std::move(uproc));
+  Uproc& uproc = *uprocs_.emplace(pid, std::make_unique<Uproc>(pid, sched_)).first->second;
+  uproc.name = std::move(name);
+  uproc.parent_pid = parent;
   if (Uproc* parent_proc = FindUproc(parent)) {
     parent_proc->children.push_back(pid);
-    ref.tenant = parent_proc->tenant;  // the μprocess tree bills to one tenant (§4.10)
+    uproc.tenant = parent_proc->tenant;  // the μprocess tree bills to one tenant (§4.10)
   }
-  return ref;
+  uproc.size = layout_.TotalSize();
+  if (backend_->private_page_tables()) {
+    // MAS / VM-clone: identical layout in a private address space — every process sees the
+    // same virtual base, which is why no relocation is needed (and why it is not a SAS).
+    uproc.base = kUserBase;
+    uproc.owned_pt = std::make_unique<PageTable>();
+    uproc.page_table = uproc.owned_pt.get();
+    pt_owners_[uproc.page_table] = pid;
+  } else {
+    auto region = address_space_.AllocateRegion(uproc.size, kRegionAlign);
+    if (!region.ok()) {
+      DestroyUprocShell(uproc);
+      return region.error();
+    }
+    uproc.base = *region;
+    uproc.page_table = &shared_pt_;
+    if (config_.demand_paging) {
+      // The region's VA is granted now; frames arrive on first touch (§4.12). Pure
+      // address-space accounting — population state lives in the page table.
+      address_space_.MarkReserveOnly(uproc.base);
+    }
+    region_by_base_[uproc.base] = pid;
+  }
+  uproc.mmap_cursor = uproc.base + layout_.mmap_off();
+  return &uproc;
+}
+
+Result<Uproc*> KernelCore::CreateFreshUproc(std::string name, Pid parent) {
+  UF_ASSIGN_OR_RETURN(Uproc* uproc, CreateUproc(std::move(name), parent));
+  if (auto image = MapFreshImage(*uproc); !image.ok()) {
+    DestroyUprocShell(*uproc);
+    return image.error();
+  }
+  InstallArchCaps(*uproc);
+  return uproc;
 }
 
 void KernelCore::DestroyUprocShell(Uproc& uproc) {
   UF_CHECK_MSG(uproc.thread == kInvalidThread,
                "DestroyUprocShell is only for shells whose thread never started");
+  ReleaseUprocMemory(uproc);
   if (Uproc* parent = FindUproc(uproc.parent_pid)) {
     auto& kids = parent->children;
     kids.erase(std::remove(kids.begin(), kids.end(), uproc.pid()), kids.end());
@@ -191,30 +239,6 @@ void KernelCore::DestroyUprocShell(Uproc& uproc) {
 }
 
 void KernelCore::EraseUproc(Pid pid) { uprocs_.erase(pid); }
-
-Result<void> KernelCore::AllocateUprocMemory(Uproc& uproc, bool private_page_table) {
-  uproc.size = layout_.TotalSize();
-  if (private_page_table) {
-    // MAS / VM-clone: identical layout in a private address space — every process sees the
-    // same virtual base, which is why no relocation is needed (and why it is not a SAS).
-    uproc.base = kUserBase;
-    uproc.owned_pt = std::make_unique<PageTable>();
-    uproc.page_table = uproc.owned_pt.get();
-    pt_owners_[uproc.page_table] = uproc.pid();
-  } else {
-    UF_ASSIGN_OR_RETURN(uproc.base,
-                        address_space_.AllocateRegion(uproc.size, kRegionAlign));
-    uproc.page_table = &shared_pt_;
-    if (config_.demand_paging) {
-      // The region's VA is granted now; frames arrive on first touch (§4.12). Pure
-      // address-space accounting — population state lives in the page table.
-      address_space_.MarkReserveOnly(uproc.base);
-    }
-    region_by_base_[uproc.base] = uproc.pid();
-  }
-  uproc.mmap_cursor = uproc.base + layout_.mmap_off();
-  return OkResult();
-}
 
 Result<void> KernelCore::MapFreshImage(Uproc& uproc) {
   const uint64_t image_bytes = layout_.mmap_off();
@@ -293,22 +317,33 @@ void KernelCore::StartUprocThread(Uproc& uproc, UprocEntry entry, int pinned_cor
   sched_.SetThreadContext(tid, &uproc);
 }
 
-Result<Pid> KernelCore::Spawn(UprocEntry entry, std::string name, int pinned_core) {
-  Uproc& uproc = CreateUprocShell(std::move(name), kInvalidPid);
-  auto constructed = [&]() -> Result<void> {
-    UF_RETURN_IF_ERROR(AllocateUprocMemory(uproc, backend_->private_page_tables()));
-    UF_RETURN_IF_ERROR(MapFreshImage(uproc));
-    return OkResult();
-  }();
-  if (!constructed.ok()) {
-    ReleaseUprocMemory(uproc);
-    DestroyUprocShell(uproc);
-    return constructed.error();
+Pid KernelCore::StartForkChild(Uproc& parent, Uproc& child, const ForkStats& stats,
+                               UprocEntry entry) {
+  child.fds = parent.fds->Clone();
+  machine_.Charge(costs().fd_dup * static_cast<uint64_t>(child.fds->OpenCount()));
+  // SAS backends place the child at a different base; MAS/VM-clone keep the parent's layout
+  // (base delta zero).
+  const uint64_t delta = child.base - parent.base;
+  child.mmap_cursor = parent.mmap_cursor + delta;
+  child.heap_break = parent.heap_break + delta;
+  child.file_mappings = parent.file_mappings;
+  for (auto& mapping : child.file_mappings) {
+    mapping.va += delta;
   }
-  InstallArchCaps(uproc);
-  uproc.fds = std::make_shared<FdTable>();
-  StartUprocThread(uproc, std::move(entry), pinned_core);
-  return uproc.pid();
+  child.syscall_sentry = parent.syscall_sentry;  // sealed kernel entry is per-system, not per-proc
+  child.signals = parent.signals.ForkCopy();
+  child.forked_child = true;
+  child.fork_stats = stats;
+  child.child_affinity = parent.child_affinity;
+  StartUprocThread(child, std::move(entry), parent.child_affinity);
+  return child.pid();
+}
+
+Result<Pid> KernelCore::Spawn(UprocEntry entry, std::string name, int pinned_core) {
+  UF_ASSIGN_OR_RETURN(Uproc* uproc, CreateFreshUproc(std::move(name), kInvalidPid));
+  uproc->fds = std::make_shared<FdTable>();
+  StartUprocThread(*uproc, std::move(entry), pinned_core);
+  return uproc->pid();
 }
 
 void KernelCore::ReleaseUprocMemory(Uproc& uproc) {

@@ -1,10 +1,11 @@
 // KernelCore: the machine-facing core the fork backends program against.
 //
 // The core owns what every subsystem shares — scheduler, machine, address space, the shared
-// page table, the process table, the lock domains and the kernel counters — plus μprocess
-// construction/teardown. It deliberately exposes no syscalls: those live in the per-subsystem
-// services (ProcService, FileService, IpcService) layered on top by Kernel (kernel.h). Fork
-// backends receive a KernelCore&, so a backend cannot reach into VFS or IPC state.
+// page table, the process table, the kernel lock and the kernel counters — plus μprocess
+// construction/teardown and the fork and fault steps every backend shares. It deliberately
+// exposes no syscalls: those live in the per-subsystem services (ProcService, FileService,
+// IpcService) layered on top by Kernel (kernel.h). Fork backends receive a KernelCore&, so a
+// backend cannot reach into VFS or IPC state.
 #ifndef UFORK_SRC_KERNEL_KERNEL_CORE_H_
 #define UFORK_SRC_KERNEL_KERNEL_CORE_H_
 
@@ -59,9 +60,6 @@ struct KernelConfig {
   IsolationLevel isolation = IsolationLevel::kFull;
   LayoutConfig layout;
   uint64_t phys_mem_bytes = 2 * kGiB;
-  // Unikraft-style big kernel lock by default (§4.5); kPerService splits kernel sections by
-  // subsystem; kUncontended models the MAS baseline's idealized fine-grained kernel.
-  LockMode lock_mode = LockMode::kBigKernelLock;
   std::optional<uint64_t> aslr_seed;
   FaultAroundConfig fault_around;
   // Cross-check FrameAllocator refcounts against the sum of PTE mappings plus kernel-held
@@ -212,9 +210,9 @@ class KernelCore {
   Result<void> CheckFrameAccounting() const;
   void CheckFrameAccountingOrDie() const;
 
-  // The virtual lock guarding `domain` under the configured mode (nullptr: lock-free kernel).
-  VirtualLock* DomainLock(LockDomain domain) { return locks_.Get(domain); }
-  LockMode lock_mode() const { return locks_.mode(); }
+  // The big kernel lock every kernel section takes, or nullptr when the backend runs kernel
+  // sections lock-free (ForkBackend::big_kernel_lock).
+  VirtualLock* kernel_lock() { return kernel_lock_.get(); }
 
   // Wakeup latency for threads blocked on IPC objects: on SMP this is a cross-core IPI plus
   // remote scheduler entry; on a single core it is just a run-queue insertion.
@@ -238,16 +236,24 @@ class KernelCore {
 
   // --- μprocess construction (used by fork backends and Spawn) --------------------------------
 
-  // Allocates the Uproc shell: pid, fd table (empty), registers cleared.
-  Uproc& CreateUprocShell(std::string name, Pid parent);
-  // Allocates a SAS region / or assigns the fixed MAS base, creates the page table view.
-  Result<void> AllocateUprocMemory(Uproc& uproc, bool private_page_table);
+  // Builds a μprocess shell (pid, empty fd table, cleared registers) under `parent` and
+  // allocates its memory: a SAS region, or the fixed MAS base in a private page table when the
+  // backend wants one. Undoes the shell if the allocation fails.
+  Result<Uproc*> CreateUproc(std::string name, Pid parent);
+  // CreateUproc plus a freshly mapped image and its architectural capabilities: a new program
+  // (spawn), not a fork. Undoes everything if mapping fails.
+  Result<Uproc*> CreateFreshUproc(std::string name, Pid parent);
   // Eagerly maps all segments with fresh zero frames.
   Result<void> MapFreshImage(Uproc& uproc);
   // Derives the architectural capabilities (DDC/PCC/CSP + syscall sentry) for the region.
   void InstallArchCaps(Uproc& uproc);
   // Spawns the μprocess thread executing `entry`.
   void StartUprocThread(Uproc& uproc, UprocEntry entry, int pinned_core = -1);
+  // Fork's shared epilogue, after the backend swept memory and set the registers: copies what
+  // the child inherits besides those (descriptors, charging fd_dup each; the mmap cursor, heap
+  // break and file mappings, rebased to the child's region; the sealed entry, signal state and
+  // affinity), records `stats` and starts the child's thread. Returns the child's pid.
+  Pid StartForkChild(Uproc& parent, Uproc& child, const ForkStats& stats, UprocEntry entry);
 
   // Releases all frames mapped in the μprocess region and the region itself.
   void ReleaseUprocMemory(Uproc& uproc);
@@ -262,9 +268,10 @@ class KernelCore {
   // moved μprocess and miss its new range until teardown.
   void RebaseRegionIndex(uint64_t old_base, uint64_t new_base, Pid pid);
 
-  // Undoes CreateUprocShell on a construction-failure path: removes the shell from the process
-  // table and the parent's child list. Without this, a failed fork/spawn leaves a permanently
-  // kRunning ghost child that makes the parent's wait() block forever instead of ECHILD.
+  // Undoes CreateUproc on a construction-failure path: releases whatever memory the μprocess
+  // got, then removes the shell from the process table and the parent's child list. Without
+  // this, a failed fork/spawn leaves a permanently kRunning ghost child that makes the
+  // parent's wait() block forever instead of ECHILD.
   void DestroyUprocShell(Uproc& uproc);
 
   // Drops a reaped (kDead) μprocess from the process table (ProcService::ReapZombie).
@@ -306,6 +313,10 @@ class KernelCore {
   // hand the full syscall surface to μprocess entry functions.
   Kernel& AsKernel();
 
+  // The machine's fault resolver: finds the faulting μprocess, bills its tenant, fills demand
+  // reservations and hands faults on present pages to the backend.
+  Result<void> ResolveFault(const PageFaultInfo& info);
+
   KernelConfig config_;
   IsolationPolicy policy_;
   UprocLayout layout_;
@@ -313,8 +324,8 @@ class KernelCore {
   Machine machine_;
   AddressSpace address_space_;
   PageTable shared_pt_;
-  LockDomainSet locks_;
   std::unique_ptr<ForkBackend> backend_;
+  std::unique_ptr<VirtualLock> kernel_lock_;  // null: lock-free kernel sections
 
   std::map<Pid, std::unique_ptr<Uproc>> uprocs_;
   std::map<const PageTable*, Pid> pt_owners_;

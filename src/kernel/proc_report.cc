@@ -20,6 +20,9 @@ const char* StateName(Uproc::State state) {
   return "?";
 }
 
+// The kernel lock the backend picked: Unikraft's big kernel lock, or none (the MAS baseline).
+const char* LocksName(Kernel& kernel) { return kernel.kernel_lock() != nullptr ? "bkl" : "none"; }
+
 struct PageStateCounts {
   uint64_t total = 0;
   uint64_t private_pages = 0;
@@ -122,7 +125,7 @@ std::string KernelSummaryReport(Kernel& kernel) {
   os << "kernel summary (" << kernel.backend().name() << ", "
      << ForkStrategyName(kernel.config().strategy) << ", isolation="
      << IsolationLevelName(kernel.config().isolation)
-     << ", locks=" << LockModeName(kernel.lock_mode()) << "):\n"
+     << ", locks=" << LocksName(kernel) << "):\n"
      << "  forks=" << stats.forks << " exits=" << stats.exits
      << " syscalls=" << stats.syscalls << "\n"
      << "  fault copies=" << stats.pages_copied_on_fault
@@ -187,15 +190,13 @@ std::string KernelSummaryReport(Kernel& kernel) {
 std::string SyscallTableReport(Kernel& kernel) {
   const KernelStats& stats = kernel.stats();
   std::ostringstream os;
-  os << "syscall table (" << kNumSyscalls << " entries, locks="
-     << LockModeName(kernel.lock_mode()) << "):\n";
-  os << "  SYSCALL        CLASS     DOMAIN       COUNT\n";
+  os << "syscall table (" << kNumSyscalls << " entries, locks=" << LocksName(kernel) << "):\n";
+  os << "  SYSCALL        CLASS         COUNT\n";
   uint64_t counted = 0;
   for (const SyscallDesc& desc : SyscallTable()) {
     const uint64_t count = stats.Count(desc.id);
     os << "  " << std::setw(13) << std::left << desc.name << "  " << std::setw(8)
-       << SyscallClassName(desc.klass) << "  " << std::setw(9) << LockDomainName(desc.domain)
-       << std::right << "  " << std::setw(9) << count << "\n";
+       << SyscallClassName(desc.klass) << std::right << "  " << std::setw(9) << count << "\n";
     if (desc.klass != SyscallClass::kNoEntry) {
       counted += count;
     }

@@ -21,7 +21,7 @@ std::string MemoryMapReport(Kernel& kernel, Pid pid);
 // Kernel-wide counters: forks, syscalls, fault-driven copies, relocations, tag discipline.
 std::string KernelSummaryReport(Kernel& kernel);
 
-// One line per syscall in the dispatch table: name, cost class, lock domain, invocation count.
+// One line per syscall in the dispatch table: name, cost class, invocation count.
 // Driven entirely by the declarative table, so a syscall added there shows up here for free.
 std::string SyscallTableReport(Kernel& kernel);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "src/kernel/fault_around.h"
 #include "src/kernel/kernel.h"
 #include "src/kernel/syscall_scope.h"
 
@@ -55,15 +56,6 @@ SimTask<Result<Pid>> ProcService::Fork(Uproc& caller, UprocEntry child_entry) {
     Uproc* child_proc = kernel_.FindUproc(*child);
     UF_CHECK(child_proc != nullptr);
     child_proc->fork_stats.latency = kernel_.sched().Now() - start;
-    // Demand-paging state is backend-agnostic, so it is inherited here rather than in each
-    // backend's sweep. SAS backends place the child at a different base; MAS/VM-clone keep
-    // the parent's layout (base delta zero).
-    const uint64_t delta = child_proc->base - caller.base;
-    child_proc->heap_break = caller.heap_break + delta;
-    child_proc->file_mappings = caller.file_mappings;
-    for (auto& mapping : child_proc->file_mappings) {
-      mapping.va += delta;
-    }
   }
   co_return child;
 }
@@ -134,7 +126,7 @@ SimTask<void> ProcService::Exit(Uproc& caller, int code) {
     }
   }
   caller.threads.clear();
-  kernel_.backend().OnExit(kernel_, caller);
+  FaultAroundAccountExitWaste(kernel_, caller);
   caller.fds->CloseAll();
   kernel_.ReleaseUprocMemory(caller);
   // Reparent running children to init (pid 1); reap zombie children now.
@@ -290,7 +282,7 @@ void ProcService::KillUproc(Uproc& victim) {
   sched.Kill(victim.thread);
   victim.exit_code = -9;  // SIGKILL
   victim.state = Uproc::State::kZombie;
-  kernel_.backend().OnExit(kernel_, victim);
+  FaultAroundAccountExitWaste(kernel_, victim);
   victim.fds->CloseAll();
   kernel_.ReleaseUprocMemory(victim);
   Uproc* parent = kernel_.FindUproc(victim.parent_pid);
@@ -376,19 +368,11 @@ SimTask<Result<Pid>> ProcService::Spawn(Uproc& caller, std::string program) {
     co_return Error{Code::kErrNoEnt, "no such program: " + program};
   }
   kernel_.machine().Charge(kernel_.costs().exec_base);
-  Uproc& child = kernel_.CreateUprocShell(program, caller.pid());
-  auto constructed = [&]() -> Result<void> {
-    UF_RETURN_IF_ERROR(
-        kernel_.AllocateUprocMemory(child, kernel_.backend().private_page_tables()));
-    UF_RETURN_IF_ERROR(kernel_.MapFreshImage(child));
-    return OkResult();
-  }();
-  if (!constructed.ok()) {
-    kernel_.ReleaseUprocMemory(child);
-    kernel_.DestroyUprocShell(child);
-    co_return constructed.error();
+  auto created = kernel_.CreateFreshUproc(program, caller.pid());
+  if (!created.ok()) {
+    co_return created.error();
   }
-  kernel_.InstallArchCaps(child);
+  Uproc& child = **created;
   child.fds = caller.fds->Clone();  // posix_spawn file-actions default: inherit descriptors
   kernel_.machine().Charge(kernel_.costs().fd_dup *
                            static_cast<uint64_t>(child.fds->OpenCount()));

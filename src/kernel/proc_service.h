@@ -1,6 +1,6 @@
 // ProcService: process-lifecycle syscalls and state.
 //
-// Owns everything in the kProc lock domain — fork/wait/exit, pids, signals, exec/spawn and the
+// Owns the process lifecycle — fork/wait/exit, pids, signals, exec/spawn and the
 // registered program images, plus threads and the anonymous-mmap grower (it mutates the
 // caller's region, a per-process resource). Fork itself is delegated to the kernel's
 // ForkBackend; this service wraps it in the syscall protocol and the fork accounting.

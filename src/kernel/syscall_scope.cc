@@ -37,9 +37,8 @@ SimTask<Result<void>> SyscallScope::Enter() {
   if (core_.policy().validate_args) {
     core_.machine().Charge(core_.costs().validation_check);
   }
-  lock_ = core_.DomainLock(desc_.domain);
-  if (lock_ != nullptr) {
-    co_await lock_->Acquire();
+  if (VirtualLock* lock = core_.kernel_lock()) {
+    co_await lock->Acquire();
   }
   // Frame grants made inside this kernel section bill to the caller's tenant (§4.10). Pure
   // host-side bookkeeping: no charge, no virtual-time effect.
@@ -66,8 +65,8 @@ SimTask<void> SyscallScope::Reacquire() {
   if (compaction.NeedsBarrier(caller_.base)) [[unlikely]] {
     co_await compaction.BarrierOn(caller_);
   }
-  if (lock_ != nullptr) {
-    co_await lock_->Acquire();
+  if (VirtualLock* lock = core_.kernel_lock()) {
+    co_await lock->Acquire();
   }
   open_ = true;
 }
@@ -76,8 +75,8 @@ void SyscallScope::ChargeExitAndRelease() {
   // Syscall return path: restoring the caller's context costs about half the entry. For a
   // blocked caller this lands after the wakeup, so it is never absorbed into wait time.
   core_.machine().Charge(core_.costs().SyscallEntry(core_.backend().syscall_kind()) / 2);
-  if (lock_ != nullptr) {
-    lock_->Release();  // owner-checked: catches a scope leaked to a foreign thread
+  if (VirtualLock* lock = core_.kernel_lock()) {
+    lock->Release();  // owner-checked: catches a scope leaked to a foreign thread
   }
   open_ = false;
   if (core_.config().check_frame_invariants) [[unlikely]] {

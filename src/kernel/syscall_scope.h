@@ -1,17 +1,17 @@
 // SyscallScope: the one implementation of the kernel entry/exit protocol.
 //
 // Construct it at the top of a syscall, `co_await scope.Enter()`, and return: the destructor
-// charges the exit cost and releases the domain lock on every path, so early error returns can
+// charges the exit cost and releases the kernel lock on every path, so early error returns can
 // no longer leak (or double-release) the lock. The protocol, in order, matches the historical
 // EnterSyscall/LeaveSyscall pair exactly — the golden-cycle pins depend on that:
 //
 //   Enter:  count the syscall (total + per-id) → charge the backend's entry cost → invoke the
 //           sealed entry capability (error return: no lock taken) → charge argument-validation
-//           → acquire the syscall's domain lock (per the configured LockMode).
+//           → acquire the kernel lock (KernelCore::kernel_lock; MAS kernels have none).
 //   Leave:  charge half the entry cost (context restore) → release the lock.
 //
 // Blocking syscalls (SyscallClass::kBlocking) call Leave() explicitly before suspending — the
-// kernel never blocks holding a domain lock — and Reacquire() after a wakeup when they must
+// kernel never blocks holding the kernel lock — and Reacquire() after a wakeup when they must
 // re-enter their kernel section (no entry charges: the caller never left the kernel).
 //
 // Invariants enforced (the lock-asymmetry assertions):
@@ -58,9 +58,8 @@ class SyscallScope {
   KernelCore& core_;
   Uproc& caller_;
   const SyscallDesc& desc_;
-  VirtualLock* lock_ = nullptr;  // domain lock held while open (null: lock-free mode)
-  bool entered_ = false;         // Enter() completed successfully at least once
-  bool open_ = false;            // currently inside the kernel section
+  bool entered_ = false;  // Enter() completed successfully at least once
+  bool open_ = false;     // currently inside the kernel section (holding the kernel lock)
 };
 
 }  // namespace ufork

@@ -1,5 +1,6 @@
 #include "src/kernel/syscall_table.h"
 
+#include "src/base/check.h"
 
 namespace ufork {
 namespace {
@@ -10,41 +11,41 @@ constexpr SyscallClass kNoEntry = SyscallClass::kNoEntry;
 
 constexpr std::array<SyscallDesc, kNumSyscalls> kTable = {{
     // --- process lifecycle (ProcService) ---
-    {Sys::kFork, "fork", kFast, LockDomain::kProc},
-    {Sys::kWait, "wait", kBlocking, LockDomain::kProc},
-    {Sys::kExit, "exit", kBlocking, LockDomain::kProc},
-    {Sys::kGetPid, "getpid", kFast, LockDomain::kProc},
-    {Sys::kGetPPid, "getppid", kFast, LockDomain::kProc},
-    {Sys::kKill, "kill", kFast, LockDomain::kProc},
-    {Sys::kSigaction, "sigaction", kFast, LockDomain::kProc},
-    {Sys::kCheckSignals, "check_signals", kNoEntry, LockDomain::kProc},
-    {Sys::kExec, "exec", kBlocking, LockDomain::kProc},
-    {Sys::kSpawn, "spawn", kFast, LockDomain::kProc},
-    {Sys::kNanosleep, "nanosleep", kBlocking, LockDomain::kProc},
-    {Sys::kThreadCreate, "thread_create", kFast, LockDomain::kProc},
-    {Sys::kThreadJoin, "thread_join", kBlocking, LockDomain::kProc},
-    {Sys::kMmapAnon, "mmap_anon", kFast, LockDomain::kProc},
+    {Sys::kFork, "fork", kFast},
+    {Sys::kWait, "wait", kBlocking},
+    {Sys::kExit, "exit", kBlocking},
+    {Sys::kGetPid, "getpid", kFast},
+    {Sys::kGetPPid, "getppid", kFast},
+    {Sys::kKill, "kill", kFast},
+    {Sys::kSigaction, "sigaction", kFast},
+    {Sys::kCheckSignals, "check_signals", kNoEntry},
+    {Sys::kExec, "exec", kBlocking},
+    {Sys::kSpawn, "spawn", kFast},
+    {Sys::kNanosleep, "nanosleep", kBlocking},
+    {Sys::kThreadCreate, "thread_create", kFast},
+    {Sys::kThreadJoin, "thread_join", kBlocking},
+    {Sys::kMmapAnon, "mmap_anon", kFast},
     // --- VFS / descriptors (FileService) ---
-    {Sys::kOpen, "open", kFast, LockDomain::kFile},
-    {Sys::kClose, "close", kFast, LockDomain::kFile},
-    {Sys::kRead, "read", kBlocking, LockDomain::kFile},
-    {Sys::kWrite, "write", kBlocking, LockDomain::kFile},
-    {Sys::kSeek, "seek", kFast, LockDomain::kFile},
-    {Sys::kDup2, "dup2", kFast, LockDomain::kFile},
-    {Sys::kUnlink, "unlink", kFast, LockDomain::kFile},
-    {Sys::kRename, "rename", kFast, LockDomain::kFile},
-    {Sys::kFileSize, "file_size", kFast, LockDomain::kFile},
+    {Sys::kOpen, "open", kFast},
+    {Sys::kClose, "close", kFast},
+    {Sys::kRead, "read", kBlocking},
+    {Sys::kWrite, "write", kBlocking},
+    {Sys::kSeek, "seek", kFast},
+    {Sys::kDup2, "dup2", kFast},
+    {Sys::kUnlink, "unlink", kFast},
+    {Sys::kRename, "rename", kFast},
+    {Sys::kFileSize, "file_size", kFast},
     // --- IPC (IpcService) ---
-    {Sys::kPipe, "pipe", kFast, LockDomain::kIpc},
-    {Sys::kMqOpen, "mq_open", kFast, LockDomain::kIpc},
-    {Sys::kShmOpen, "shm_open", kFast, LockDomain::kIpc},
-    {Sys::kShmMap, "shm_map", kFast, LockDomain::kIpc},
-    {Sys::kShmUnlink, "shm_unlink", kFast, LockDomain::kIpc},
-    {Sys::kFutexWait, "futex_wait", kBlocking, LockDomain::kIpc},
-    {Sys::kFutexWake, "futex_wake", kFast, LockDomain::kIpc},
+    {Sys::kPipe, "pipe", kFast},
+    {Sys::kMqOpen, "mq_open", kFast},
+    {Sys::kShmOpen, "shm_open", kFast},
+    {Sys::kShmMap, "shm_map", kFast},
+    {Sys::kShmUnlink, "shm_unlink", kFast},
+    {Sys::kFutexWait, "futex_wait", kBlocking},
+    {Sys::kFutexWake, "futex_wake", kFast},
     // --- demand-paged memory (appended so the established row indices stay stable) ---
-    {Sys::kSbrk, "sbrk", kFast, LockDomain::kProc},
-    {Sys::kMmapFile, "mmap_file", kFast, LockDomain::kFile},
+    {Sys::kSbrk, "sbrk", kFast},
+    {Sys::kMmapFile, "mmap_file", kFast},
 }};
 
 // The table must be indexed by Sys: row i describes syscall i.

@@ -1,18 +1,16 @@
 // The declarative syscall table: one row per system call.
 //
-// Every syscall the kernel exports is described here once — its name, its cost/blocking class
-// and the lock domain its kernel section belongs to. SyscallScope (syscall_scope.h) consumes a
-// row to run the shared entry/exit protocol (stats, entry cost, sealed-entry check, argument
-// validation charge, domain lock), and KernelStats keeps one counter per row, so adding a
-// syscall means adding a row — not re-deriving the prologue by hand.
+// Every syscall the kernel exports is described here once — its name and its cost/blocking
+// class. SyscallScope (syscall_scope.h) consumes a row to run the shared entry/exit protocol
+// (stats, entry cost, sealed-entry check, argument validation charge, kernel lock), and
+// KernelStats keeps one counter per row, so adding a syscall means adding a row — not
+// re-deriving the prologue by hand.
 #ifndef UFORK_SRC_KERNEL_SYSCALL_TABLE_H_
 #define UFORK_SRC_KERNEL_SYSCALL_TABLE_H_
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
-
-#include "src/sched/sync.h"
 
 namespace ufork {
 
@@ -55,7 +53,7 @@ enum class Sys : uint16_t {
 
 inline constexpr size_t kNumSyscalls = static_cast<size_t>(Sys::kCount);
 
-// How the call interacts with its domain lock.
+// How the call interacts with the kernel lock.
 enum class SyscallClass : uint8_t {
   kFast,      // never suspends while in the kernel: the scope holds the lock entry-to-return
   kBlocking,  // may suspend mid-call: drops the lock explicitly first (SyscallScope::Leave)
@@ -69,7 +67,6 @@ struct SyscallDesc {
   Sys id;
   const char* name;
   SyscallClass klass;
-  LockDomain domain;
 };
 
 // The full table, indexed by Sys.

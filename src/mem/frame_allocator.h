@@ -112,8 +112,9 @@ class FrameAllocator {
     }
   }
 
-  // Hook invoked after a frame's last reference drops (the frame became free). The overload
-  // subsystem uses it to drain the backpressure queue; unset (the default) costs one branch.
+  // Hook invoked after a frame's last reference drops (the frame became free). KernelCore
+  // always installs one, which drains the overload subsystem's backpressure queue; a bare
+  // allocator (no hook) pays one branch.
   void set_release_hook(std::function<void()> hook) { release_hook_ = std::move(hook); }
 
   // Invokes fn(id, refcount) for every live frame, in id order. Drives the frame-accounting

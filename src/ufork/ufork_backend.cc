@@ -41,11 +41,8 @@ Result<Pid> UforkBackend::Fork(KernelCore& kernel, Uproc& parent, UprocEntry ent
 
   // 1. Parent state duplication (§3.5 step 1): reserve a contiguous region and duplicate the
   //    parent's page-table entries into it.
-  Uproc& child = kernel.CreateUprocShell(parent.name + "+", parent.pid());
-  if (auto mem = kernel.AllocateUprocMemory(child, /*private_page_table=*/false); !mem.ok()) {
-    kernel.DestroyUprocShell(child);
-    return mem.error();
-  }
+  UF_ASSIGN_OR_RETURN(Uproc* const created, kernel.CreateUproc(parent.name + "+", parent.pid()));
+  Uproc& child = *created;
 
   ForkStats stats;
   PageTable& pt = *parent.page_table;  // the shared table
@@ -140,7 +137,6 @@ Result<Pid> UforkBackend::Fork(KernelCore& kernel, Uproc& parent, UprocEntry ent
     // running ghost child that hangs the parent's wait(). Then restore every parent PTE the
     // sweep demoted: the parent must look exactly as before the fork, or it would take
     // spurious resolvable faults on pages that have no sharer.
-    kernel.ReleaseUprocMemory(child);
     kernel.DestroyUprocShell(child);
     for (const DemotedRun& run : demoted) {
       pt.ForEachMapped(run.lo, run.hi, [&run](uint64_t, Pte& pte) { pte.flags = run.flags; });
@@ -149,18 +145,13 @@ Result<Pid> UforkBackend::Fork(KernelCore& kernel, Uproc& parent, UprocEntry ent
   }
   stats.caps_relocated_eagerly = eager_reloc.relocated;
 
-  // 2. Post-copy phase (§3.5 step 2): kernel resources, fresh PID (already assigned by the
-  //    shell), registers relocated via their tags.
-  child.fds = parent.fds->Clone();
-  machine.Charge(costs.fd_dup * static_cast<uint64_t>(child.fds->OpenCount()));
-  child.mmap_cursor = child.base + (parent.mmap_cursor - parent.base);
-
+  // 2. Post-copy phase (§3.5 step 2): registers relocated via their tags; the kernel
+  //    resources follow in StartForkChild (the PID was assigned with the shell).
   child.regs = parent.regs;
   const RelocationResult reg_reloc =
       RelocateRegisterFile(child.regs, parent.base, parent.size, child.base);
   machine.Charge(costs.cap_relocate * (reg_reloc.relocated + 3));
   stats.registers_relocated = reg_reloc.relocated;
-  child.syscall_sentry = parent.syscall_sentry;  // sealed kernel entry is per-system, not per-proc
   if (kernel.policy().confine_caps) {
     UF_CHECK_MSG(!child.regs.ddc.EscapesRegion(child.base, child.base + child.size),
                  "child DDC must be confined to the child region");
@@ -170,38 +161,19 @@ Result<Pid> UforkBackend::Fork(KernelCore& kernel, Uproc& parent, UprocEntry ent
     // coincide with the parent's region.
     child.regs.ddc = parent.regs.ddc;
   }
-
-  child.signals = parent.signals.ForkCopy();
-  child.forked_child = true;
-  child.fork_stats = stats;
-  child.child_affinity = parent.child_affinity;
-  kernel.StartUprocThread(child, std::move(entry), parent.child_affinity);
-  return child.pid();
+  return kernel.StartForkChild(parent, child, stats, std::move(entry));
 }
 
-Result<void> UforkBackend::ResolveFault(KernelCore& kernel, const PageFaultInfo& info) {
+Result<void> UforkBackend::ResolveFault(KernelCore& kernel, Uproc& owner, PageTable& pt,
+                                        Pte& pte, const PageFaultInfo& info) {
   Machine& machine = kernel.machine();
   const CostModel& costs = kernel.costs();
-  Uproc* uproc = kernel.UprocByAddress(info.va);
-  if (uproc == nullptr) {
-    return Error{Code::kFaultNotMapped, "fault in unowned region"};
-  }
-  PageTable& pt = *info.page_table;
-  Pte* pte = pt.LookupMutable(info.va);
-  if (pte == nullptr) {
-    // Guest-reachable (an access through a stale capability can fault inside an owned region
-    // on a page that was never mapped): delivered to the guest, never a host abort.
-    return Error{Code::kFaultNotMapped, "fault on unmapped page"};
-  }
-  if ((pte->flags & kPteNotPresent) != 0) {
-    return ResolveDemandFault(kernel, *uproc, pt, info, *pte);
-  }
-  if ((pte->flags & (kPteCow | kPteLoadCapFault)) == 0) {
+  if ((pte.flags & (kPteCow | kPteLoadCapFault)) == 0) {
     return Error{Code::kFaultPageProt, "fault on a non-shared page"};
   }
 
-  const uint32_t limit = FaultAroundBegin(kernel, *uproc, info);
-  FaultWindow window = FaultAroundScan(kernel, *uproc, pt, info, *pte, limit);
+  const uint32_t limit = FaultAroundBegin(kernel, owner, info);
+  FaultWindow window = FaultAroundScan(kernel, owner, pt, info, pte, limit);
 
   // The trap itself (costs.page_fault) was charged by the access engine before dispatching
   // here; fault_cycles attributes it to the storm together with the resolution charges.
@@ -232,7 +204,7 @@ Result<void> UforkBackend::ResolveFault(KernelCore& kernel, const PageFaultInfo&
       Frame& dst = machine.frames().frame(fresh[i]);
       dst.CopyFrom(machine.frames().frame(page->frame));
       const RelocationResult page_reloc =
-          RelocateFrameInto(dst, kernel.address_space(), uproc->base, uproc->size, &memo);
+          RelocateFrameInto(dst, kernel.address_space(), owner.base, owner.size, &memo);
       charge(costs.cap_relocate * page_reloc.relocated);
       reloc.tags_seen += page_reloc.tags_seen;
       reloc.relocated += page_reloc.relocated;
@@ -254,7 +226,7 @@ Result<void> UforkBackend::ResolveFault(KernelCore& kernel, const PageFaultInfo&
       charge(costs.page_tag_scan);
       const RelocationResult page_reloc =
           RelocateFrameInto(machine.frames().frame(page->frame), kernel.address_space(),
-                            uproc->base, uproc->size, &memo);
+                            owner.base, owner.size, &memo);
       charge(costs.cap_relocate * page_reloc.relocated);
       reloc.tags_seen += page_reloc.tags_seen;
       reloc.relocated += page_reloc.relocated;
@@ -268,13 +240,8 @@ Result<void> UforkBackend::ResolveFault(KernelCore& kernel, const PageFaultInfo&
   stats.caps_relocated_on_fault += reloc.relocated;
   stats.caps_stripped += reloc.stripped;
   stats.fault_cycles += resolved_cycles;
-  FaultAroundCommit(kernel, *uproc, window);
+  FaultAroundCommit(kernel, owner, window);
   return OkResult();
-}
-
-void UforkBackend::OnExit(KernelCore& kernel, Uproc& uproc) {
-  // Speculative pages from the final window that were never touched count as waste.
-  FaultAroundAccountExitWaste(kernel, uproc);
 }
 
 }  // namespace ufork

@@ -26,6 +26,7 @@ class UforkBackend : public ForkBackend {
   const char* name() const override { return "uFork"; }
   SyscallEntryKind syscall_kind() const override { return SyscallEntryKind::kSealedEntry; }
   bool private_page_tables() const override { return false; }
+  bool big_kernel_lock() const override { return true; }  // μFork runs on Unikraft (§4.5)
 
   Cycles ContextSwitchCost(const CostModel& costs, Uproc* prev, Uproc* next) const override {
     (void)prev, (void)next;
@@ -34,8 +35,8 @@ class UforkBackend : public ForkBackend {
   }
 
   Result<Pid> Fork(KernelCore& kernel, Uproc& parent, UprocEntry entry) override;
-  Result<void> ResolveFault(KernelCore& kernel, const PageFaultInfo& info) override;
-  void OnExit(KernelCore& kernel, Uproc& uproc) override;
+  Result<void> ResolveFault(KernelCore& kernel, Uproc& owner, PageTable& pt, Pte& pte,
+                            const PageFaultInfo& info) override;
 
   uint64_t ExtraResidencyBytes(const KernelCore& kernel, const Uproc& uproc) const override {
     (void)kernel, (void)uproc;

@@ -3,8 +3,8 @@
 // The stop-the-world compactor's tests (ufork_test.cc) prove the move mechanics; these prove
 // the *concurrent* machinery around them:
 //
-//   - MutatorStorm: budgeted compaction interleaved with a fork/sbrk/mmap/exit storm across
-//     {BKL, per-service} × {demand paging on, off}. Parked victims slide left as the storm
+//   - MutatorStorm: budgeted compaction interleaved with a fork/sbrk/mmap/exit storm, with
+//     demand paging on and off. Parked victims slide left as the storm
 //     vacates slots below them; their GOT-reachable sentinels, heap breaks and reservation
 //     tags survive; guest-visible outcomes match a compaction-free control run.
 //   - MidMoveSyscallParksOnBarrier: a μprocess woken while its region is mid-move parks on
@@ -174,11 +174,10 @@ struct StormOutcome {
   uint64_t pause_cycles_max = 0;
 };
 
-StormOutcome RunStorm(bool compacted, LockMode lock_mode, bool demand_paging) {
+StormOutcome RunStorm(bool compacted, bool demand_paging) {
   KernelConfig config = compacted ? IncrementalConfig(/*budget_pages=*/4, /*interval=*/1'500,
                                                       /*trigger=*/true)
                                   : TinyConfig();
-  config.lock_mode = lock_mode;
   config.demand_paging = demand_paging;
   auto kernel = MakeUforkKernel(config);
   kernel->sched().set_allow_blocked_exit(true);
@@ -267,37 +266,34 @@ StormOutcome RunStorm(bool compacted, LockMode lock_mode, bool demand_paging) {
   return out;
 }
 
-TEST(CompactionConcurrent, MutatorStormAcrossLockModesAndPaging) {
-  for (const LockMode mode : {LockMode::kBigKernelLock, LockMode::kPerService}) {
-    for (const bool demand : {false, true}) {
-      SCOPED_TRACE(std::string(mode == LockMode::kBigKernelLock ? "bkl" : "per-service") +
-                   (demand ? "/demand" : "/eager"));
-      const StormOutcome control = RunStorm(/*compacted=*/false, mode, demand);
-      const StormOutcome compacted = RunStorm(/*compacted=*/true, mode, demand);
+TEST(CompactionConcurrent, MutatorStormAcrossPagingModes) {
+  for (const bool demand : {false, true}) {
+    SCOPED_TRACE(demand ? "demand" : "eager");
+    const StormOutcome control = RunStorm(/*compacted=*/false, demand);
+    const StormOutcome compacted = RunStorm(/*compacted=*/true, demand);
 
-      // Guest-visible outcomes are compaction-invariant.
-      EXPECT_TRUE(control.v1_ok && control.v2_ok && control.v3_ok && control.v4_ok);
-      EXPECT_TRUE(compacted.v1_ok && compacted.v2_ok && compacted.v3_ok && compacted.v4_ok);
-      for (size_t i = 0; i < 4; ++i) {
-        EXPECT_TRUE(control.worker_done[i]) << "worker " << i;
-        EXPECT_TRUE(compacted.worker_done[i]) << "worker " << i;
-      }
+    // Guest-visible outcomes are compaction-invariant.
+    EXPECT_TRUE(control.v1_ok && control.v2_ok && control.v3_ok && control.v4_ok);
+    EXPECT_TRUE(compacted.v1_ok && compacted.v2_ok && compacted.v3_ok && compacted.v4_ok);
+    for (size_t i = 0; i < 4; ++i) {
+      EXPECT_TRUE(control.worker_done[i]) << "worker " << i;
+      EXPECT_TRUE(compacted.worker_done[i]) << "worker " << i;
+    }
 
-      // The control run never compacts; the compacted run packed the early victims into the
-      // phase-1 holes and slid V3 into storm-vacated slots, over multiple bounded quanta,
-      // preserving break offsets and reservation state.
-      EXPECT_EQ(control.regions_moved, 0u);
-      EXPECT_EQ(control.v1_base_delta, 0u);
-      EXPECT_GE(compacted.regions_moved, 3u);
-      EXPECT_GT(compacted.v1_base_delta, 0u);
-      EXPECT_GT(compacted.v3_base_delta, 0u) << "V3 must ride down into storm-vacated slots";
-      EXPECT_GE(compacted.compact_steps, 10u);
-      EXPECT_GT(compacted.pause_cycles_max, 0u);
-      EXPECT_EQ(compacted.v1_heap_off_after, compacted.v1_heap_off_before);
-      EXPECT_EQ(compacted.v1_reserve_after, compacted.v1_reserve_before);
-      if (demand) {
-        EXPECT_TRUE(compacted.v1_reserve_before) << "demand paging spawns reserve-only";
-      }
+    // The control run never compacts; the compacted run packed the early victims into the
+    // phase-1 holes and slid V3 into storm-vacated slots, over multiple bounded quanta,
+    // preserving break offsets and reservation state.
+    EXPECT_EQ(control.regions_moved, 0u);
+    EXPECT_EQ(control.v1_base_delta, 0u);
+    EXPECT_GE(compacted.regions_moved, 3u);
+    EXPECT_GT(compacted.v1_base_delta, 0u);
+    EXPECT_GT(compacted.v3_base_delta, 0u) << "V3 must ride down into storm-vacated slots";
+    EXPECT_GE(compacted.compact_steps, 10u);
+    EXPECT_GT(compacted.pause_cycles_max, 0u);
+    EXPECT_EQ(compacted.v1_heap_off_after, compacted.v1_heap_off_before);
+    EXPECT_EQ(compacted.v1_reserve_after, compacted.v1_reserve_before);
+    if (demand) {
+      EXPECT_TRUE(compacted.v1_reserve_before) << "demand paging spawns reserve-only";
     }
   }
 }

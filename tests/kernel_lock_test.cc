@@ -1,7 +1,8 @@
-// Lock-domain matrix: the same workloads must be correct under every LockMode, the default
-// must stay the single big kernel lock (the golden-cycle pins depend on it), the MAS baseline
-// must map to uncontended domains (its old `use_bkl=false` behaviour), and the per-syscall
-// counters the SyscallScope maintains must always sum to the kernel-wide syscall total.
+// The kernel lock is the fork backend's choice: μFork and the VM clone, both Unikraft kernels
+// (paper §4.5), serialize kernel sections on one big kernel lock, and the MAS baseline runs
+// them lock-free. The same workloads must be correct on every system, the VirtualLock owner
+// CHECKs must hold under two-core contention, and the per-syscall counters SyscallScope
+// maintains must always sum to the kernel-wide syscall total.
 #include <gtest/gtest.h>
 
 #include "src/baseline/system.h"
@@ -26,6 +27,18 @@ KernelConfig SmallConfig() {
   return config;
 }
 
+struct System {
+  const char* name;
+  std::unique_ptr<Kernel> (*make)(KernelConfig config);
+  const char* locks;  // the lock the reports name
+};
+
+const System kSystems[] = {
+    {"ufork", [](KernelConfig c) { return MakeUforkKernel(c); }, "bkl"},
+    {"mas", [](KernelConfig c) { return MakeMasKernel(c); }, "none"},
+    {"vmclone", [](KernelConfig c) { return MakeVmCloneKernel(c); }, "bkl"},
+};
+
 uint64_t PerSyscallSum(const KernelStats& stats) {
   uint64_t sum = 0;
   for (const SyscallDesc& desc : SyscallTable()) {
@@ -34,18 +47,18 @@ uint64_t PerSyscallSum(const KernelStats& stats) {
   return sum;
 }
 
-// Touches all three lock domains: proc (fork/wait/exit), file (open/write/read/close) and
-// ipc (pipe, shm, futex). The child signals the parent through a MAP_SHARED futex word and
-// ships a byte through the pipe, so cross-domain interleavings actually happen.
-SimTask<void> CrossDomainWorkload(Guest& g) {
-  auto fd = co_await g.Open("/lockmode.txt", kOpenWrite | kOpenCreate);
+// Touches all three services: proc (fork/wait/exit), file (open/write/read/close) and ipc
+// (pipe, shm, futex). The child signals the parent through a MAP_SHARED futex word and ships
+// a byte through the pipe, so cross-service interleavings actually happen.
+SimTask<void> CrossServiceWorkload(Guest& g) {
+  auto fd = co_await g.Open("/services.txt", kOpenWrite | kOpenCreate);
   CO_ASSERT_OK(fd);
-  auto line = g.PlaceString("domains");
+  auto line = g.PlaceString("service");
   CO_ASSERT_OK(line);
   CO_ASSERT_OK(co_await g.Write(*fd, *line, 7));
   CO_ASSERT_OK(co_await g.Close(*fd));
 
-  auto shm = co_await g.ShmOpen("/shm/lockmode", kPageSize);
+  auto shm = co_await g.ShmOpen("/shm/services", kPageSize);
   CO_ASSERT_OK(shm);
   auto window = co_await g.ShmMap(*shm);
   CO_ASSERT_OK(window);
@@ -89,55 +102,46 @@ SimTask<void> CrossDomainWorkload(Guest& g) {
   CO_ASSERT_OK(co_await g.Close(wfd));
 }
 
-std::unique_ptr<Kernel> RunWorkload(LockMode mode) {
-  KernelConfig config = SmallConfig();
-  config.lock_mode = mode;
-  auto kernel = MakeUforkKernel(config);
-  auto pid = kernel->Spawn(MakeGuestEntry(CrossDomainWorkload), "lockmode");
+std::unique_ptr<Kernel> RunWorkload(const System& system) {
+  auto kernel = system.make(SmallConfig());
+  auto pid = kernel->Spawn(MakeGuestEntry(CrossServiceWorkload), "services");
   UF_CHECK(pid.ok());
   kernel->Run();
   return kernel;
 }
 
 TEST(LockDomains, DefaultConfigKeepsTheBigKernelLock) {
-  KernelConfig config;
-  EXPECT_EQ(config.lock_mode, LockMode::kBigKernelLock);
-  auto kernel = MakeUforkKernel(SmallConfig());
-  EXPECT_EQ(kernel->lock_mode(), LockMode::kBigKernelLock);
+  // Both Unikraft kernels take the BKL with no lock setting in KernelConfig.
+  auto ufork = MakeUforkKernel(SmallConfig());
+  ASSERT_NE(ufork->kernel_lock(), nullptr);
+  EXPECT_FALSE(ufork->kernel_lock()->held());
+  EXPECT_NE(MakeVmCloneKernel(SmallConfig())->kernel_lock(), nullptr);
 }
 
 TEST(LockDomains, MasBaselineMapsToUncontendedDomains) {
+  // A MAS kernel has no kernel lock: its sections never wait on one another.
   auto kernel = MakeMasKernel(SmallConfig());
-  EXPECT_EQ(kernel->lock_mode(), LockMode::kUncontended);
+  EXPECT_EQ(kernel->kernel_lock(), nullptr);
+  EXPECT_NE(SyscallTableReport(*kernel).find("locks=none)"), std::string::npos);
 }
 
-TEST(LockDomains, CrossDomainWorkloadIsCorrectUnderEveryMode) {
-  for (const LockMode mode :
-       {LockMode::kBigKernelLock, LockMode::kPerService, LockMode::kUncontended}) {
-    SCOPED_TRACE(LockModeName(mode));
-    auto kernel = RunWorkload(mode);
+TEST(KernelLock, CrossServiceWorkloadIsCorrectOnEverySystem) {
+  for (const System& system : kSystems) {
+    SCOPED_TRACE(system.name);
+    auto kernel = RunWorkload(system);
     EXPECT_EQ(kernel->stats().forks, 1u);
     EXPECT_EQ(kernel->stats().exits, 2u);
+    EXPECT_TRUE(kernel->LivePids().empty());
   }
 }
 
-TEST(LockDomains, PerServiceNeverCompletesLaterThanTheBkl) {
-  // Splitting the BKL can only remove waiting: domains that used to serialise now overlap.
-  const Cycles bkl = RunWorkload(LockMode::kBigKernelLock)->sched().CompletionTime();
-  const Cycles per_service = RunWorkload(LockMode::kPerService)->sched().CompletionTime();
-  const Cycles uncontended = RunWorkload(LockMode::kUncontended)->sched().CompletionTime();
-  EXPECT_LE(per_service, bkl);
-  EXPECT_LE(uncontended, per_service);
-}
-
-TEST(LockDomains, PerSyscallCountersSumToKernelTotal) {
-  for (const LockMode mode :
-       {LockMode::kBigKernelLock, LockMode::kPerService, LockMode::kUncontended}) {
-    SCOPED_TRACE(LockModeName(mode));
-    auto kernel = RunWorkload(mode);
+TEST(KernelLock, PerSyscallCountersSumToKernelTotal) {
+  for (const System& system : kSystems) {
+    SCOPED_TRACE(system.name);
+    auto kernel = RunWorkload(system);
     const KernelStats& stats = kernel->stats();
     EXPECT_EQ(PerSyscallSum(stats), stats.syscalls);
-    // The counts are identical across lock modes — locking changes when calls run, not what
+    // The counts are identical on every system — locking changes when calls run, not what
     // runs. Spot-check the rows the workload exercises.
     EXPECT_EQ(stats.Count(Sys::kFork), 1u);
     EXPECT_EQ(stats.Count(Sys::kWait), 1u);
@@ -151,24 +155,25 @@ TEST(LockDomains, PerSyscallCountersSumToKernelTotal) {
   }
 }
 
-TEST(LockDomains, SyscallTableReportEnumeratesEveryRow) {
-  auto kernel = RunWorkload(LockMode::kPerService);
-  const std::string report = SyscallTableReport(*kernel);
-  for (const SyscallDesc& desc : SyscallTable()) {
-    EXPECT_NE(report.find(desc.name), std::string::npos) << desc.name;
+TEST(KernelLock, SyscallTableReportEnumeratesEveryRow) {
+  for (const System& system : kSystems) {
+    SCOPED_TRACE(system.name);
+    auto kernel = RunWorkload(system);
+    const std::string report = SyscallTableReport(*kernel);
+    for (const SyscallDesc& desc : SyscallTable()) {
+      EXPECT_NE(report.find(desc.name), std::string::npos) << desc.name;
+    }
+    EXPECT_NE(report.find(std::string("locks=") + system.locks + ")"), std::string::npos);
+    EXPECT_NE(report.find("kernel syscalls="), std::string::npos);
   }
-  EXPECT_NE(report.find("locks=per-service"), std::string::npos);
-  EXPECT_NE(report.find("kernel syscalls="), std::string::npos);
 }
 
-TEST(LockDomains, MultiprocessContentionStaysBalanced) {
-  // Two unrelated process trees hammer different domains concurrently on separate cores. Any
-  // double-release or leaked acquire trips the VirtualLock owner CHECKs; completion under
-  // per-service locks must not regress past the BKL run.
-  auto run = [](LockMode mode) {
-    KernelConfig config = SmallConfig();
-    config.lock_mode = mode;
-    auto kernel = MakeUforkKernel(config);
+TEST(KernelLock, MultiprocessContentionStaysBalanced) {
+  // Two unrelated process trees hammer different services concurrently on separate cores.
+  // Any double-release or leaked acquire trips the VirtualLock owner CHECKs.
+  for (const System& system : kSystems) {
+    SCOPED_TRACE(system.name);
+    auto kernel = system.make(SmallConfig());
     auto file_worker = kernel->Spawn(MakeGuestEntry([](Guest& g) -> SimTask<void> {
                                        for (int i = 0; i < 32; ++i) {
                                          auto fd = co_await g.Open(
@@ -193,11 +198,14 @@ TEST(LockDomains, MultiprocessContentionStaysBalanced) {
                                     "ipc-worker", /*pinned_core=*/1);
     UF_CHECK(ipc_worker.ok());
     kernel->Run();
-    return kernel->sched().CompletionTime();
-  };
-  const Cycles bkl = run(LockMode::kBigKernelLock);
-  const Cycles per_service = run(LockMode::kPerService);
-  EXPECT_LE(per_service, bkl);
+    EXPECT_EQ(kernel->stats().Count(Sys::kOpen), 32u);
+    EXPECT_EQ(kernel->stats().Count(Sys::kPipe), 32u);
+    EXPECT_EQ(kernel->stats().exits, 2u);
+    if (VirtualLock* lock = kernel->kernel_lock()) {
+      EXPECT_FALSE(lock->held());
+      EXPECT_EQ(lock->waiters(), 0u);
+    }
+  }
 }
 
 }  // namespace

@@ -17,7 +17,7 @@
 namespace ufork {
 namespace {
 
-KernelConfig TinyConfig(LockMode lock_mode) {
+KernelConfig TinyConfig() {
   KernelConfig config;
   config.layout.text_size = 32 * kKiB;
   config.layout.rodata_size = 8 * kKiB;
@@ -27,7 +27,6 @@ KernelConfig TinyConfig(LockMode lock_mode) {
   config.layout.stack_size = 32 * kKiB;
   config.layout.tls_size = 4 * kKiB;
   config.layout.mmap_size = 64 * kKiB;
-  config.lock_mode = lock_mode;
   return config;
 }
 
@@ -42,96 +41,88 @@ const System kSystems[] = {
     {"vmclone", [](KernelConfig c) { return MakeVmCloneKernel(c, VmCloneParams{}); }},
 };
 
-const LockMode kLockModes[] = {LockMode::kBigKernelLock, LockMode::kPerService};
-
-const char* LockModeTag(LockMode mode) {
-  return mode == LockMode::kBigKernelLock ? "bkl" : "per-service";
-}
-
 SimTask<void> TrivialChild(Guest& cg) { co_await cg.Exit(0); }
 
 // --- watermark hysteresis ----------------------------------------------------------------------
 
 TEST(Overload, WatermarkHysteresisRejectsBelowLowAndRecoversOnlyAboveClear) {
   for (const System& system : kSystems) {
-    for (const LockMode mode : kLockModes) {
-      SCOPED_TRACE(std::string(system.name) + "/" + LockModeTag(mode));
-      auto kernel = system.make(TinyConfig(mode));
-      kernel->procs().RegisterProgram("worker", MakeGuestEntry([](Guest& g) -> SimTask<void> {
-                                co_await g.Exit(7);
-                              }));
-      auto pid = kernel->Spawn(
-          MakeGuestEntry([](Guest& g) -> SimTask<void> {
-            Kernel& k = g.kernel();
-            FrameAllocator& fr = k.machine().frames();
-            const uint64_t free0 = fr.free_frames();
+    SCOPED_TRACE(system.name);
+    auto kernel = system.make(TinyConfig());
+    kernel->procs().RegisterProgram("worker", MakeGuestEntry([](Guest& g) -> SimTask<void> {
+                              co_await g.Exit(7);
+                            }));
+    auto pid = kernel->Spawn(
+        MakeGuestEntry([](Guest& g) -> SimTask<void> {
+          Kernel& k = g.kernel();
+          FrameAllocator& fr = k.machine().frames();
+          const uint64_t free0 = fr.free_frames();
 
-            OverloadConfig oc;
-            oc.enabled = true;
-            oc.low_watermark = free0 - 6;
-            oc.critical_watermark = 0;
-            oc.clear_watermark = free0 - 2;
-            oc.max_parked = 0;  // pure-EAGAIN mode: parking is exercised separately
-            k.admission().Configure(oc);
+          OverloadConfig oc;
+          oc.enabled = true;
+          oc.low_watermark = free0 - 6;
+          oc.critical_watermark = 0;
+          oc.clear_watermark = free0 - 2;
+          oc.max_parked = 0;  // pure-EAGAIN mode: parking is exercised separately
+          k.admission().Configure(oc);
 
-            // Above the low watermark: fork and spawn are admitted.
-            auto ok_fork = co_await g.Fork(TrivialChild);
-            CO_ASSERT_OK(ok_fork);
-            CO_ASSERT_OK(co_await g.Wait());
+          // Above the low watermark: fork and spawn are admitted.
+          auto ok_fork = co_await g.Fork(TrivialChild);
+          CO_ASSERT_OK(ok_fork);
+          CO_ASSERT_OK(co_await g.Wait());
 
-            // Pin 8 frames: free drops below low → REJECTING, both fork and spawn EAGAIN.
-            std::vector<FrameId> held;
-            for (int i = 0; i < 8; ++i) {
-              auto frame = fr.Allocate();
-              CO_ASSERT_OK(frame);
-              held.push_back(*frame);
-            }
-            auto rejected_fork = co_await g.Fork(TrivialChild);
-            CO_ASSERT_EQ(rejected_fork.code(), Code::kErrAgain);
-            auto rejected_spawn = co_await g.SpawnProgram("worker");
-            CO_ASSERT_EQ(rejected_spawn.code(), Code::kErrAgain);
-            CO_ASSERT_TRUE(k.admission().rejecting());
-            CO_ASSERT_EQ(k.stats().admission_trips, 1u);
-            CO_ASSERT_EQ(k.stats().admission_rejected, 2u);
+          // Pin 8 frames: free drops below low → REJECTING, both fork and spawn EAGAIN.
+          std::vector<FrameId> held;
+          for (int i = 0; i < 8; ++i) {
+            auto frame = fr.Allocate();
+            CO_ASSERT_OK(frame);
+            held.push_back(*frame);
+          }
+          auto rejected_fork = co_await g.Fork(TrivialChild);
+          CO_ASSERT_EQ(rejected_fork.code(), Code::kErrAgain);
+          auto rejected_spawn = co_await g.SpawnProgram("worker");
+          CO_ASSERT_EQ(rejected_spawn.code(), Code::kErrAgain);
+          CO_ASSERT_TRUE(k.admission().rejecting());
+          CO_ASSERT_EQ(k.stats().admission_trips, 1u);
+          CO_ASSERT_EQ(k.stats().admission_rejected, 2u);
 
-            // Hysteresis: back above low but still below clear — REJECTING holds, and the
-            // trip counter must not move (no flapping at the threshold).
-            for (int i = 0; i < 4; ++i) {
-              fr.Release(held.back());
-              held.pop_back();
-            }
-            auto still_rejected = co_await g.Fork(TrivialChild);
-            CO_ASSERT_EQ(still_rejected.code(), Code::kErrAgain);
-            CO_ASSERT_EQ(k.stats().admission_trips, 1u);
-            CO_ASSERT_EQ(k.stats().admission_rejected, 3u);
+          // Hysteresis: back above low but still below clear — REJECTING holds, and the
+          // trip counter must not move (no flapping at the threshold).
+          for (int i = 0; i < 4; ++i) {
+            fr.Release(held.back());
+            held.pop_back();
+          }
+          auto still_rejected = co_await g.Fork(TrivialChild);
+          CO_ASSERT_EQ(still_rejected.code(), Code::kErrAgain);
+          CO_ASSERT_EQ(k.stats().admission_trips, 1u);
+          CO_ASSERT_EQ(k.stats().admission_rejected, 3u);
 
-            // At the clear watermark: admission recovers; the identical fork succeeds.
-            for (int i = 0; i < 2; ++i) {
-              fr.Release(held.back());
-              held.pop_back();
-            }
-            auto admitted = co_await g.Fork(TrivialChild);
-            CO_ASSERT_OK(admitted);
-            CO_ASSERT_OK(co_await g.Wait());
-            CO_ASSERT_TRUE(!k.admission().rejecting());
-            CO_ASSERT_EQ(k.stats().admission_trips, 1u);
-            for (const FrameId frame : held) {
-              fr.Release(frame);
-            }
-          }),
-          "hysteresis");
-      ASSERT_TRUE(pid.ok());
-      kernel->Run();
-      // Rejected creations never reached the fork backend.
-      EXPECT_EQ(kernel->stats().forks, 2u);
-      EXPECT_EQ(kernel->LivePids().size(), 0u);
-      EXPECT_TRUE(kernel->CheckFrameAccounting().ok());
-    }
+          // At the clear watermark: admission recovers; the identical fork succeeds.
+          for (int i = 0; i < 2; ++i) {
+            fr.Release(held.back());
+            held.pop_back();
+          }
+          auto admitted = co_await g.Fork(TrivialChild);
+          CO_ASSERT_OK(admitted);
+          CO_ASSERT_OK(co_await g.Wait());
+          CO_ASSERT_TRUE(!k.admission().rejecting());
+          CO_ASSERT_EQ(k.stats().admission_trips, 1u);
+          for (const FrameId frame : held) {
+            fr.Release(frame);
+          }
+        }),
+        "hysteresis");
+    ASSERT_TRUE(pid.ok());
+    kernel->Run();
+    // Rejected creations never reached the fork backend.
+    EXPECT_EQ(kernel->stats().forks, 2u);
+    EXPECT_EQ(kernel->LivePids().size(), 0u);
+    EXPECT_TRUE(kernel->CheckFrameAccounting().ok());
   }
 }
 
 TEST(Overload, BelowCriticalWatermarkRejectsImmediatelyWithoutParking) {
-  auto kernel = MakeUforkKernel(TinyConfig(LockMode::kBigKernelLock));
+  auto kernel = MakeUforkKernel(TinyConfig());
   auto pid = kernel->Spawn(
       MakeGuestEntry([](Guest& g) -> SimTask<void> {
         Kernel& k = g.kernel();
@@ -177,7 +168,7 @@ TEST(Overload, BelowCriticalWatermarkRejectsImmediatelyWithoutParking) {
 TEST(Overload, BackpressureParksForkersAndDrainsWhenFramesFree) {
   for (const System& system : kSystems) {
     SCOPED_TRACE(system.name);
-    auto kernel = system.make(TinyConfig(LockMode::kBigKernelLock));
+    auto kernel = system.make(TinyConfig());
     auto pid = kernel->Spawn(
         MakeGuestEntry([](Guest& g) -> SimTask<void> {
           Kernel& k = g.kernel();
@@ -264,7 +255,7 @@ TEST(Overload, BackpressureParksForkersAndDrainsWhenFramesFree) {
 TEST(Overload, TenantCapContainsAFrameHogAndTeardownReturnsEveryFrame) {
   for (const System& system : kSystems) {
     SCOPED_TRACE(system.name);
-    KernelConfig config = TinyConfig(LockMode::kBigKernelLock);
+    KernelConfig config = TinyConfig();
     config.check_frame_invariants = true;  // tenant billing must not disturb the accounting
     auto kernel = system.make(config);
     auto pid = kernel->Spawn(

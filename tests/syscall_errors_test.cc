@@ -238,10 +238,11 @@ TEST(SyscallErrors, SbrkErrorPaths) {
 
 // --- fork exhaustion: the ghost-child regression ---------------------------------------------
 //
-// CreateUprocShell registers the child in the process table (and the parent's children list)
-// before the backend allocates memory. A failed fork used to leave that shell behind as a
-// permanently-kRunning ghost child, so the parent's subsequent wait() blocked forever. These
-// tests would hang (and time out) without DestroyUprocShell on the failure paths.
+// CreateUproc registers the child in the process table (and the parent's children list)
+// before it allocates memory and the backend sweeps the parent's. A failed fork used to leave
+// that shell behind as a permanently-kRunning ghost child, so the parent's subsequent wait()
+// blocked forever. These tests would hang (and time out) without DestroyUprocShell on the
+// failure paths.
 
 TEST(SyscallErrors, UforkForkExhaustionLeavesNoGhostChild) {
   KernelConfig config = SmallConfig();
