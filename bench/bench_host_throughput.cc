@@ -18,6 +18,8 @@
 //     macro workload whose heap (≈35k frames) pays for the frame hot path on every run.
 //   * SchedulerDispatch — host cost per scheduler dispatch at N ready threads (the per-layer
 //     row for dispatch; it should stay nearly flat as N grows).
+//   * KernelLockHerd — host cost per fork when 64 roots on 4 cores retry the big kernel lock,
+//     ~127 dispatches per fork (the per-layer row for dispatch under fork_fleet's retry herd).
 //   * PageTableSweep — host cost per page of fork's page-table duplication and exit's
 //     teardown: CloneRange then UnmapRange over a hello-sized and a Redis-sized image (the
 //     per-layer row for the page table).
@@ -347,6 +349,52 @@ void SchedulerDispatch(::benchmark::State& state) {
 }
 
 BENCHMARK(SchedulerDispatch)->Arg(4)->Arg(64)->Arg(1024);
+
+// --- KernelLockHerd -----------------------------------------------------------------------------
+
+constexpr int kHerdRoots = 64;
+constexpr int kHerdForksPerRoot = 8;
+
+// fork_fleet's shape without its driver: 64 roots on 4 cores fork and reap trivial children.
+// All but one wait on the big kernel lock at a time, each sleeping until the lock's last
+// release and retrying, so a fork costs ~127 dispatches (`slices_per_fork`). The per-layer row
+// for dispatch under the retry herd; items are forks.
+void KernelLockHerd(::benchmark::State& state) {
+  SystemConfig sc;
+  sc.kernel.layout = HelloLayout();
+  sc.kernel.cores = 4;
+  uint64_t slices = 0;
+  for (auto _ : state) {
+    state.PauseTiming();  // building 64 root images costs more than their forks
+    auto kernel = MakeSystem(sc);
+    for (int root = 0; root < kHerdRoots; ++root) {
+      auto pid = kernel->Spawn(MakeGuestEntry([](Guest& g) -> SimTask<void> {
+                                 for (int i = 0; i < kHerdForksPerRoot; ++i) {
+                                   GuestFn child_fn = [](Guest& cg) -> SimTask<void> {
+                                     co_await cg.Exit(0);
+                                   };
+                                   auto child = co_await g.Fork(std::move(child_fn));
+                                   UF_CHECK(child.ok());
+                                   auto waited = co_await g.Wait();
+                                   UF_CHECK(waited.ok());
+                                 }
+                               }),
+                               "herd" + std::to_string(root));
+      UF_CHECK(pid.ok());
+    }
+    state.ResumeTiming();
+    kernel->Run();
+    state.PauseTiming();
+    slices += kernel->sched().slices_executed();
+    kernel.reset();
+    state.ResumeTiming();
+  }
+  const auto forks = static_cast<int64_t>(state.iterations()) * kHerdRoots * kHerdForksPerRoot;
+  state.SetItemsProcessed(forks);
+  state.counters["slices_per_fork"] = static_cast<double>(slices) / static_cast<double>(forks);
+}
+
+BENCHMARK(KernelLockHerd)->Unit(::benchmark::kMillisecond);
 
 // --- PageTableSweep -----------------------------------------------------------------------------
 

@@ -76,17 +76,12 @@ Result<FrameId> FrameAllocator::TakeFreeId() {
   return id;
 }
 
-void FrameAllocator::Release(FrameId id) {
-  UF_CHECK(id < slots_.size());
-  Slot& slot = slots_[id];
-  UF_CHECK_MSG(slot.refcount > 0, "Release on a dead frame");
-  if (--slot.refcount == 0) {
-    --frames_in_use_;
-    UnchargeTenant(slot.tenant);
-    free_list_.push_back(id);
-    if (release_hook_) {
-      release_hook_();
-    }
+void FrameAllocator::Free(FrameId id) {
+  --frames_in_use_;
+  UnchargeTenant(slots_[id].tenant);
+  free_list_.push_back(id);
+  if (release_hook_) {
+    release_hook_();
   }
 }
 

@@ -60,8 +60,16 @@ class FrameAllocator {
     ++slots_[id].refcount;
   }
 
-  // Decrements the sharing count; frees the frame when it drops to zero.
-  void Release(FrameId id);
+  // Decrements the sharing count; frees the frame when it drops to zero. Exit releases every
+  // page and most drop a shared reference, so that decrement is inline.
+  void Release(FrameId id) {
+    UF_CHECK(id < slots_.size());
+    Slot& slot = slots_[id];
+    UF_CHECK_MSG(slot.refcount > 0, "Release on a dead frame");
+    if (--slot.refcount == 0) {
+      Free(id);
+    }
+  }
 
   uint32_t RefCount(FrameId id) const;
 
@@ -140,6 +148,7 @@ class FrameAllocator {
 
   Result<FrameId> AllocateInternal(bool zero);
   Result<FrameId> TakeFreeId();           // pops a recycled id or grows a fresh slot
+  void Free(FrameId id);                  // after the last reference drops
   bool ChargeTenant(TenantId tenant);     // cap check + tentative charge
   void UnchargeTenant(TenantId tenant);
 

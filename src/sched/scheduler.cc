@@ -25,14 +25,44 @@ ThreadId Scheduler::Spawn(SimTask<void> task, std::string name, int pinned_core)
   return t->tid_;
 }
 
+void Scheduler::ReadyQueue::Push(const ReadyEntry& entry) {
+  if (run_.empty() || ReadyAfter{}(entry, run_.back())) {
+    run_.push_back(entry);
+    return;
+  }
+  heap_.push_back(entry);
+  std::push_heap(heap_.begin(), heap_.end(), ReadyAfter{});
+}
+
+SimThread* Scheduler::ReadyQueue::PopLeast() {
+  if (LeastInRun()) {
+    SimThread* t = run_.front().thread;
+    run_.pop_front();
+    return t;
+  }
+  std::pop_heap(heap_.begin(), heap_.end(), ReadyAfter{});
+  SimThread* t = heap_.back().thread;
+  heap_.pop_back();
+  return t;
+}
+
+void Scheduler::ReadyQueue::Erase(const SimThread* thread) {
+  auto it = std::find_if(run_.begin(), run_.end(),
+                         [thread](const ReadyEntry& e) { return e.thread == thread; });
+  if (it != run_.end()) {
+    run_.erase(it);  // the rest of the run stays sorted
+    return;
+  }
+  std::erase_if(heap_, [thread](const ReadyEntry& e) { return e.thread == thread; });
+  std::make_heap(heap_.begin(), heap_.end(), ReadyAfter{});
+}
+
 void Scheduler::MakeReady(SimThread* thread, Cycles at) {
   thread->state_ = SimThread::State::kReady;
   thread->ready_time_ = at;
-  const size_t h = HeapIndex(thread);
-  ReadyHeap& heap = ready_[h];
-  heap.push_back(ReadyEntry{at, thread->seq_, thread});
-  std::push_heap(heap.begin(), heap.end(), ReadyAfter{});
-  if (h != 0) {
+  const size_t q = QueueIndex(thread);
+  ready_[q].Push(ReadyEntry{at, thread->seq_, thread});
+  if (q != 0) {
     ++pinned_ready_;
   }
 }
@@ -41,17 +71,17 @@ Scheduler::Candidate Scheduler::BestCandidate() const {
   // Dispatch order: among ready threads and their eligible cores, the earliest feasible start
   // max(ready_time, core.free_at), then the earlier ready time, then spawn order; the winner
   // takes the lowest-index core that achieves its start. Over a fixed core set a thread's
-  // earliest start is max(ready_time, min free_at), monotone in ready_time, so each heap's top
-  // (least (ready_time, seq)) is its class's winner and only the 1 + cores tops compete:
-  // O(cores) per pick, O(log ready) per push and pop (DESIGN.md §4.1).
+  // earliest start is max(ready_time, min free_at), monotone in ready_time, so each class's
+  // least (ready_time, seq) entry is its winner and only the 1 + cores least entries compete:
+  // O(cores) per pick; O(1) per push in key order and O(log ready) otherwise (DESIGN.md §4.1).
   Candidate best;
   const ReadyEntry* best_top = nullptr;
-  auto consider = [&](size_t h, int core, Cycles free_at) {
-    const ReadyEntry& top = ready_[h].front();
+  auto consider = [&](size_t q, int core, Cycles free_at) {
+    const ReadyEntry& top = ready_[q].Least();
     const Cycles start = std::max(top.ready, free_at);
     if (best_top == nullptr || start < best.start ||
         (start == best.start && ReadyAfter{}(*best_top, top))) {
-      best = Candidate{h, core, start};
+      best = Candidate{q, core, start};
       best_top = &top;
     }
   };
@@ -63,14 +93,14 @@ Scheduler::Candidate Scheduler::BestCandidate() const {
     consider(0, -1, free_at);
   }
   if (pinned_ready_ != 0) {
-    for (size_t h = 1; h < ready_.size(); ++h) {
-      if (!ready_[h].empty()) {
-        const int core = static_cast<int>(h) - 1;
-        consider(h, core, cores_[static_cast<size_t>(core)].free_at);
+    for (size_t q = 1; q < ready_.size(); ++q) {
+      if (!ready_[q].empty()) {
+        const int core = static_cast<int>(q) - 1;
+        consider(q, core, cores_[static_cast<size_t>(core)].free_at);
       }
     }
   }
-  if (best.heap == 0) {
+  if (best.queue == 0) {
     // Every core with free_at <= start achieves the start; take the lowest-index one.
     best.core = 0;
     while (cores_[static_cast<size_t>(best.core)].free_at > best.start) {
@@ -82,14 +112,11 @@ Scheduler::Candidate Scheduler::BestCandidate() const {
 
 SimThread* Scheduler::PickNext(int* core_out, Cycles* start_out) {
   const Candidate best = BestCandidate();
-  if (best.heap == Candidate::kNoHeap) {
+  if (best.queue == Candidate::kNoQueue) {
     return nullptr;
   }
-  ReadyHeap& heap = ready_[best.heap];
-  std::pop_heap(heap.begin(), heap.end(), ReadyAfter{});
-  SimThread* t = heap.back().thread;
-  heap.pop_back();
-  if (best.heap != 0) {
+  SimThread* t = ready_[best.queue].PopLeast();
+  if (best.queue != 0) {
     --pinned_ready_;
   }
   *core_out = best.core;
@@ -195,11 +222,9 @@ void Scheduler::Kill(ThreadId tid) {
   }
   UF_CHECK_MSG(t != current_, "a thread cannot Kill itself; co_await ExitThread() instead");
   if (t->state() == SimThread::State::kReady) {
-    const size_t h = HeapIndex(t);
-    ReadyHeap& heap = ready_[h];
-    std::erase_if(heap, [t](const ReadyEntry& e) { return e.thread == t; });
-    std::make_heap(heap.begin(), heap.end(), ReadyAfter{});
-    if (h != 0) {
+    const size_t q = QueueIndex(t);
+    ready_[q].Erase(t);
+    if (q != 0) {
       --pinned_ready_;
     }
   }

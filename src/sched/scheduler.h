@@ -8,8 +8,10 @@
 //   * Dispatch picks, among ready threads, the one that can *start earliest* on an eligible
 //     core (respecting pinning), breaking ties by ready time then spawn order — this keeps
 //     virtual-time causality: a thread never observes effects from a virtually-later slice.
-//     Ready threads sit in min-heaps keyed (ready time, spawn order), one for unpinned threads
-//     and one per pinned core, so a dispatch compares only the heap tops (DESIGN.md §4.1).
+//     Ready threads sit in one queue per class (unpinned, or pinned to one core), keyed
+//     (ready time, spawn order): a FIFO run sorted by key in front of a min-heap, so a dispatch
+//     compares only each class's least entry, and a push in key order costs O(1) (DESIGN.md
+//     §4.1).
 //   * Blocking (wait queues, sleeping, lock contention) releases the core.
 //
 // The host executes one slice at a time on the calling thread and everything is
@@ -196,7 +198,6 @@ class Scheduler {
     uint64_t seq;
     SimThread* thread;
   };
-  using ReadyHeap = std::vector<ReadyEntry>;
   // The "less" comparator that makes std::push_heap/pop_heap keep a min-heap on (ready, seq).
   // A function object rather than a function pointer, so the heap sifts inline it.
   struct ReadyAfter {
@@ -205,11 +206,32 @@ class Scheduler {
     }
   };
 
-  // The ready thread dispatch would pick next: which heap's top, on which core, starting
-  // when. heap == kNoHeap when no thread is ready.
+  // One ready class: a FIFO run sorted by (ready, seq) in front of a min-heap. A push that
+  // finds the run empty or whose key exceeds the run's back is appended to the run; any other
+  // goes to the heap. Keys are unique, so the class's least entry is the lesser of the run's
+  // front and the heap's top (DESIGN.md §4.1).
+  class ReadyQueue {
+   public:
+    bool empty() const { return run_.empty() && heap_.empty(); }
+    void Push(const ReadyEntry& entry);
+    const ReadyEntry& Least() const { return LeastInRun() ? run_.front() : heap_.front(); }
+    SimThread* PopLeast();
+    void Erase(const SimThread* thread);
+
+   private:
+    bool LeastInRun() const {
+      return heap_.empty() || (!run_.empty() && ReadyAfter{}(heap_.front(), run_.front()));
+    }
+
+    std::deque<ReadyEntry> run_;
+    std::vector<ReadyEntry> heap_;
+  };
+
+  // The ready thread dispatch would pick next: which class's least entry, on which core,
+  // starting when. queue == kNoQueue when no thread is ready.
   struct Candidate {
-    static constexpr size_t kNoHeap = ~size_t{0};
-    size_t heap = kNoHeap;
+    static constexpr size_t kNoQueue = ~size_t{0};
+    size_t queue = kNoQueue;
     int core = -1;
     Cycles start = kNoCycleLimit;
   };
@@ -219,8 +241,8 @@ class Scheduler {
   struct ExitAwaiter;
 
   void MakeReady(SimThread* thread, Cycles at);
-  static size_t HeapIndex(const SimThread* thread) {
-    return static_cast<size_t>(1 + thread->pinned_core_);  // the unpinned heap is ready_[0]
+  static size_t QueueIndex(const SimThread* thread) {
+    return static_cast<size_t>(1 + thread->pinned_core_);  // the unpinned queue is ready_[0]
   }
   Candidate BestCandidate() const;
   SimThread* PickNext(int* core_out, Cycles* start_out);
@@ -232,8 +254,8 @@ class Scheduler {
   SimThread* current_ = nullptr;  // the thread whose slice is executing, or nullptr
   std::vector<Core> cores_;
   // ready_[0] holds unpinned threads; ready_[1 + c] those pinned to core c.
-  std::vector<ReadyHeap> ready_;
-  size_t pinned_ready_ = 0;  // entries across the pinned heaps; 0 skips their scan
+  std::vector<ReadyQueue> ready_;
+  size_t pinned_ready_ = 0;  // entries across the pinned queues; 0 skips their scan
   uint64_t next_seq_ = 0;    // spawn-order tie-break counter
   Cycles completion_ = 0;    // max slice end observed
   uint64_t context_switches_ = 0;

@@ -450,6 +450,18 @@ TEST(FrameAllocator, RefcountKeepsFrameAlive) {
   EXPECT_FALSE(alloc.IsLive(*a));
 }
 
+TEST(FrameAllocator, ReleaseOfADeadFrameAborts) {
+  FrameAllocator alloc(2);
+  auto a = alloc.Allocate();
+  ASSERT_TRUE(a.ok());
+  alloc.AddRef(*a);
+  alloc.Release(*a);  // the inline shared-reference path
+  alloc.Release(*a);  // the last reference
+  EXPECT_FALSE(alloc.IsLive(*a));
+  EXPECT_DEATH(alloc.Release(*a), "Release on a dead frame");
+  EXPECT_DEATH(alloc.Release(*a + 1), "id < slots_.size");
+}
+
 TEST(FrameAllocator, ExhaustionReturnsNoMem) {
   FrameAllocator alloc(2);
   ASSERT_TRUE(alloc.Allocate().ok());
