@@ -15,7 +15,10 @@
 //   * SyscallGetPid — host cost per trivial simulated syscall (sealed entry / trap /
 //     hypercall all exercise the same host-side syscall scaffolding).
 //   * RedisSaveEndToEnd — host runtime of one Fig. 3 Redis BGSAVE run (10 MB database), the
-//     macro workload whose heap (≈35k frames) pays for the frame hot path on every run.
+//     macro workload whose heap (≈35k frames) pays for the frame hot path on every run. Its
+//     `storage_frames` / `peak_frames` counters feed the mem.redis_storage_share gate row.
+//   * FrameAllocatorImage — host cost per frame of a Redis image's worth of grants, sparse
+//     writes, copies and releases (the per-layer row for the frame allocator).
 //   * SchedulerDispatch — host cost per scheduler dispatch at N ready threads (the per-layer
 //     row for dispatch; it should stay nearly flat as N grows).
 //   * KernelLockHerd — host cost per fork when 64 roots on 4 cores retry the big kernel lock,
@@ -68,7 +71,7 @@ void TaggedPageCopyRelocate(::benchmark::State& state) {
   uint64_t relocated = 0;
   for (auto _ : state) {
     const FrameId id = alloc.AllocateForCopy().value();
-    Frame& dst = alloc.frame(id);
+    Frame& dst = alloc.WritableFrame(id);
     dst.CopyFrom(src);
     const RelocationResult reloc = RelocateFrameInto(dst, as, child, region_size);
     relocated += reloc.relocated;
@@ -310,14 +313,56 @@ void RedisSaveEndToEnd(::benchmark::State& state) {
   SystemConfig sc;
   sc.system = System::kUfork;
   sc.kernel.layout = RedisLayout();
+  RedisRunResult result;
   for (auto _ : state) {
-    const RedisRunResult result = RunRedisBgSave(sc, 10 * kMiB);
+    result = RunRedisBgSave(sc, 10 * kMiB);
     ::benchmark::DoNotOptimize(result.save_elapsed);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  state.counters["storage_frames"] = static_cast<double>(result.storage_frames);
+  state.counters["peak_frames"] = static_cast<double>(result.peak_frames);
 }
 
 BENCHMARK(RedisSaveEndToEnd)->Unit(::benchmark::kMillisecond);
+
+// --- FrameAllocatorImage ------------------------------------------------------------------------
+
+constexpr uint64_t kImageFrames = 35168;  // a set-up redis_bgsave image's resident frames
+
+// One image's life in a fresh allocator: grant every frame zeroed, write one page in six,
+// copy a quarter of the image with CopyFrame (as fork and fault resolution do), then release
+// everything. Items are frames granted; `storage_frames` counts those given host storage.
+void FrameAllocatorImage(::benchmark::State& state) {
+  std::vector<FrameId> image(kImageFrames);
+  std::vector<FrameId> copies(kImageFrames / 4);
+  uint64_t storage = 0;
+  for (auto _ : state) {
+    FrameAllocator alloc(kImageFrames + copies.size());
+    for (FrameId& id : image) {
+      id = alloc.Allocate().value();
+    }
+    for (uint64_t i = 0; i < image.size(); i += 6) {
+      alloc.WritableFrame(image[i]).Write(0, std::as_bytes(std::span(&i, 1)));
+    }
+    for (uint64_t i = 0; i < copies.size(); ++i) {
+      copies[i] = alloc.AllocateForCopy().value();
+      alloc.CopyFrame(copies[i], image[4 * i]);
+    }
+    for (const FrameId id : copies) {
+      alloc.Release(id);
+    }
+    for (const FrameId id : image) {
+      alloc.Release(id);
+    }
+    storage = alloc.storage_frames();
+    ::benchmark::DoNotOptimize(storage);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() *
+                                               (image.size() + copies.size())));
+  state.counters["storage_frames"] = static_cast<double>(storage);
+}
+
+BENCHMARK(FrameAllocatorImage)->Unit(::benchmark::kMillisecond);
 
 // --- SchedulerDispatch --------------------------------------------------------------------------
 

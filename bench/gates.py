@@ -152,6 +152,12 @@ ROWS = [
         lambda read: read("HttpdFleetFootprint/1", "resident_frames")
         / read("HttpdFleetFootprint/0", "resident_frames"),
         ("<=", 0.5)),
+    Row("mem.redis_storage_share",
+        "a 10 MB Redis BGSAVE gives host storage to <= 0.25 of its peak frames: frames never "
+        "written have none (DESIGN.md §4.6)", "bench_host_throughput", "RedisSaveEndToEnd",
+        lambda read: read("RedisSaveEndToEnd", "storage_frames")
+        / read("RedisSaveEndToEnd", "peak_frames"),
+        ("<=", 0.25)),
     Row("storm.adaptive_gain",
         'adaptive fault-around cuts fault cycles >= 10% vs window=1 (EXPERIMENTS.md "Fault storm")',
         "bench_fault_storm", "FaultStorm",

@@ -35,7 +35,9 @@ SYNTHETIC = {
                      for backend, ns in (("Ufork", 1.22e6), ("Mas", 3.78e6), ("VmClone", 1.92e8))
                      for paging in (0, 1)},
     "bench_host_throughput": {"HttpdFleetFootprint/0": {"resident_frames": 306344},
-                              "HttpdFleetFootprint/1": {"resident_frames": 25703}},
+                              "HttpdFleetFootprint/1": {"resident_frames": 25703},
+                              "RedisSaveEndToEnd": {"storage_frames": 2723,
+                                                    "peak_frames": 35303}},
     "bench_fault_storm": {"FaultStormRedis/0": {"fault_Mcycles": 0.803},
                           "FaultStormRedis/16": {"fault_Mcycles": 0.1},  # not FaultStormRedis/1
                           "FaultStormRedis/1": {"fault_Mcycles": 1.051}},

@@ -16,6 +16,8 @@ struct RedisRunResult {
   Cycles save_elapsed = 0;   // BGSAVE trigger -> dump complete
   double child_uss_mb = 0.0;
   uint64_t dump_entries = 0;
+  uint64_t storage_frames = 0;  // frames given host storage over the run (DESIGN.md §4.6)
+  uint64_t peak_frames = 0;     // simulated resident high-water mark
 };
 
 inline constexpr uint64_t kRedisEntryBytes = 100 * 1024;  // 100 KB entries (§5.1)
@@ -77,6 +79,8 @@ inline RedisRunResult RunRedisBgSave(const SystemConfig& sc, uint64_t db_bytes) 
     co_return;
   });
   UF_CHECK(result.dump_entries == entries);
+  result.storage_frames = kernel->machine().frames().storage_frames();
+  result.peak_frames = kernel->machine().frames().peak_frames();
   return result;
 }
 

@@ -39,7 +39,7 @@ Result<Pid> VmCloneBackend::Fork(KernelCore& kernel, Uproc& parent, UprocEntry e
           return std::nullopt;
         }
         swept += costs.frame_alloc + costs.page_copy + costs.pte_dup;
-        machine.frames().frame(*frame).CopyFrom(machine.frames().frame(pte.frame));
+        machine.frames().CopyFrame(*frame, pte.frame);
         ++stats.pages_mapped;
         ++stats.pages_copied_eagerly;
         stats.bytes_copied_eagerly += kPageSize;

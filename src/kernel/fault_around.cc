@@ -156,7 +156,7 @@ Result<void> ResolveDemandFault(KernelCore& kernel, Uproc& uproc, PageTable& pt,
         auto copy = machine.frames().AllocateForCopy();
         if (copy.ok()) {
           charge(costs.frame_alloc + costs.page_copy);
-          machine.frames().frame(*copy).CopyFrom(machine.frames().frame(*frame));
+          machine.frames().CopyFrame(*copy, *frame);
           machine.frames().Release(*frame);
           frame = *copy;
         } else {
@@ -215,7 +215,7 @@ Result<void> ResolveCowWriteWindow(KernelCore& kernel, Uproc& uproc, PageTable& 
     for (uint64_t i = 0; i < window.pages; ++i) {
       Pte* page = pt.LookupMutable(info.va + i * kPageSize);
       charge(costs.frame_alloc + costs.page_copy);
-      machine.frames().frame(fresh[i]).CopyFrom(machine.frames().frame(page->frame));
+      machine.frames().CopyFrame(fresh[i], page->frame);
       old[i] = page->frame;
     }
     charge(window.pages == 1 ? costs.pte_update : costs.pte_update_batched);

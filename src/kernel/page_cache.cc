@@ -22,11 +22,14 @@ Result<FrameId> PageCache::GetFrame(const std::shared_ptr<RamFs::Inode>& inode,
   // current bytes. One I/O-shaped transfer per fill; hits are free — the cache IS the
   // footprint/throughput trade the fleet benchmarks measure.
   UF_ASSIGN_OR_RETURN(const FrameId frame, machine_.frames().Allocate());
+  // Pages and ramdisk blocks are both 4 KiB and aligned: page i is block i.
+  static_assert(kVfsBlockSize == kPageSize);
   uint64_t copied = 0;
   const uint64_t off = page_index * kPageSize;
-  if (off < inode->data.size()) {
-    copied = std::min<uint64_t>(kPageSize, inode->data.size() - off);
-    machine_.frames().frame(frame).Write(0, std::span(inode->data.data() + off, copied));
+  if (off < inode->size) {
+    copied = std::min<uint64_t>(kPageSize, inode->size - off);
+    machine_.frames().WritableFrame(frame).Write(
+        0, std::span(inode->blocks[page_index]->data(), copied));
   }
   machine_.Charge(machine_.costs().frame_alloc + machine_.costs().VfsTransfer(copied));
   ++fills_;

@@ -17,7 +17,7 @@ Result<std::shared_ptr<OpenFile>> RamFs::Open(const std::string& path, uint32_t 
     it = inodes_.emplace(path, std::make_shared<Inode>()).first;
   }
   if ((flags & kOpenTrunc) != 0 && (flags & kOpenWrite) != 0) {
-    it->second->data.clear();
+    it->second->Truncate();
     if (on_invalidate_) {
       on_invalidate_(it->second.get());
     }
@@ -66,19 +66,45 @@ Result<uint64_t> RamFs::FileSize(const std::string& path) const {
   if (it == inodes_.end()) {
     return Error{Code::kErrNoEnt, "stat: no such file"};
   }
-  return it->second->data.size();
+  return it->second->size;
+}
+
+void RamFs::Inode::Read(uint64_t offset, std::span<std::byte> out) const {
+  UF_DCHECK(offset + out.size() <= size);
+  for (uint64_t done = 0; done < out.size();) {
+    const uint64_t pos = offset + done;
+    const uint64_t in_block = pos % kVfsBlockSize;
+    const uint64_t n = std::min<uint64_t>(out.size() - done, kVfsBlockSize - in_block);
+    std::memcpy(out.data() + done, blocks[pos / kVfsBlockSize]->data() + in_block, n);
+    done += n;
+  }
+}
+
+void RamFs::Inode::Write(uint64_t offset, std::span<const std::byte> in) {
+  const uint64_t end = offset + in.size();
+  while (blocks.size() * kVfsBlockSize < end) {
+    blocks.push_back(std::make_unique<Block>());  // value-initialized: a gap reads zero
+  }
+  size = std::max(size, end);
+  for (uint64_t done = 0; done < in.size();) {
+    const uint64_t pos = offset + done;
+    const uint64_t in_block = pos % kVfsBlockSize;
+    const uint64_t n = std::min<uint64_t>(in.size() - done, kVfsBlockSize - in_block);
+    std::memcpy(blocks[pos / kVfsBlockSize]->data() + in_block, in.data() + done, n);
+    done += n;
+  }
 }
 
 SimTask<Result<int64_t>> RamFileHandle::Read(std::span<std::byte> out) {
   if ((flags_ & kOpenRead) == 0) {
     co_return Error{Code::kErrBadFd, "read on write-only file"};
   }
-  const uint64_t size = inode_->data.size();
+  const uint64_t size = inode_->size;
   if (offset_ >= size) {
     co_return 0;  // EOF
   }
   const uint64_t n = std::min<uint64_t>(out.size(), size - offset_);
-  std::memcpy(out.data(), inode_->data.data() + offset_, n);
+  inode_->Read(offset_, out.first(n));
   offset_ += n;
   co_return static_cast<int64_t>(n);
 }
@@ -88,22 +114,19 @@ SimTask<Result<int64_t>> RamFileHandle::Write(std::span<const std::byte> in) {
     co_return Error{Code::kErrBadFd, "write on read-only file"};
   }
   if ((flags_ & kOpenAppend) != 0) {
-    offset_ = inode_->data.size();
+    offset_ = inode_->size;
   }
-  if (offset_ + in.size() > inode_->data.size()) {
-    if (injector_ != nullptr) {
-      // One probe per 4 KiB growth block, all checked before the resize: a failed write
-      // leaves both the file contents and its size untouched (ENOSPC, disk full).
-      const uint64_t growth = offset_ + in.size() - inode_->data.size();
-      for (uint64_t charged = 0; charged < growth; charged += kVfsBlockSize) {
-        if (injector_->ShouldFail(FaultSite::kVfsGrow)) {
-          co_return Error{Code::kErrNoSpc, "ramdisk block allocation failed (injected)"};
-        }
+  if (offset_ + in.size() > inode_->size && injector_ != nullptr) {
+    // One probe per 4 KiB of growth, all checked before the write: a failed write leaves
+    // both the file contents and its size untouched (ENOSPC, disk full).
+    const uint64_t growth = offset_ + in.size() - inode_->size;
+    for (uint64_t charged = 0; charged < growth; charged += kVfsBlockSize) {
+      if (injector_->ShouldFail(FaultSite::kVfsGrow)) {
+        co_return Error{Code::kErrNoSpc, "ramdisk block allocation failed (injected)"};
       }
     }
-    inode_->data.resize(offset_ + in.size());
   }
-  std::memcpy(inode_->data.data() + offset_, in.data(), in.size());
+  inode_->Write(offset_, in);
   offset_ += in.size();
   if (invalidate_) {
     invalidate_(inode_.get());  // bytes changed: stale cached pages must not serve fills
@@ -121,7 +144,7 @@ Result<int64_t> RamFileHandle::Seek(int64_t offset, int whence) {
       base = static_cast<int64_t>(offset_);
       break;
     case kSeekEnd:
-      base = static_cast<int64_t>(inode_->data.size());
+      base = static_cast<int64_t>(inode_->size);
       break;
     default:
       return Error{Code::kErrInval, "bad whence"};

@@ -7,10 +7,13 @@
 #ifndef UFORK_SRC_KERNEL_VFS_H_
 #define UFORK_SRC_KERNEL_VFS_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,8 +45,23 @@ class RamFs {
   // keys on inode identity and must drop stale pages.
   using InvalidateFn = std::function<void(const void* inode_key)>;
 
+  // A file's bytes, kept in kVfsBlockSize blocks: block i holds bytes [i, i+1) * kVfsBlockSize.
+  // Growth appends zeroed blocks and never moves the bytes already written, so a large file
+  // costs its blocks and a pointer per block, not a reallocated copy of itself.
   struct Inode {
-    std::vector<std::byte> data;
+    using Block = std::array<std::byte, kVfsBlockSize>;
+
+    // Copies out.size() bytes starting at `offset`; the range must lie within `size`.
+    void Read(uint64_t offset, std::span<std::byte> out) const;
+    // Writes `in` at `offset`, growing the file to offset + in.size() if it ends before.
+    void Write(uint64_t offset, std::span<const std::byte> in);
+    void Truncate() {
+      blocks.clear();
+      size = 0;
+    }
+
+    std::vector<std::unique_ptr<Block>> blocks;  // ceil(size / kVfsBlockSize) of them
+    uint64_t size = 0;
     uint64_t link_count = 1;
   };
 

@@ -105,7 +105,7 @@ Result<void> Machine::Store(PageTable& pt, const Capability& auth, uint64_t va,
     UF_ASSIGN_OR_RETURN(const Pte pte,
                         TranslateForAccess(pt, page_va, va + in.size(), /*is_write=*/true,
                                            /*is_tagged_cap_load=*/false));
-    frames_.frame(pte.frame).Write(offset, in.subspan(done, chunk));
+    frames_.WritableFrame(pte.frame).Write(offset, in.subspan(done, chunk));
     done += chunk;
   }
   return OkResult();
@@ -124,7 +124,7 @@ Result<void> Machine::Fill(PageTable& pt, const Capability& auth, uint64_t va, u
     UF_ASSIGN_OR_RETURN(const Pte pte,
                         TranslateForAccess(pt, page_va, va + size, /*is_write=*/true,
                                            /*is_tagged_cap_load=*/false));
-    frames_.frame(pte.frame).Fill(offset, chunk, value);
+    frames_.WritableFrame(pte.frame).Fill(offset, chunk, value);
     done += chunk;
   }
   return OkResult();
@@ -180,7 +180,7 @@ Result<void> Machine::StoreCap(PageTable& pt, const Capability& auth, uint64_t v
   UF_ASSIGN_OR_RETURN(const Pte pte, TranslateForAccess(pt, page_va, va + kCapSize,
                                                         /*is_write=*/true,
                                                         /*is_tagged_cap_load=*/false));
-  frames_.frame(pte.frame).StoreCap(va - page_va, value);
+  frames_.WritableFrame(pte.frame).StoreCap(va - page_va, value);
   return OkResult();
 }
 
@@ -188,7 +188,7 @@ void Machine::KernelStoreCap(PageTable& pt, uint64_t va, const Capability& value
   const uint64_t page_va = AlignDown(va, kPageSize);
   const std::optional<Pte> pte = pt.Lookup(page_va);
   UF_CHECK_MSG(pte.has_value() && PtePopulated(*pte), "kernel cap store to unmapped page");
-  frames_.frame(pte->frame).StoreCap(va - page_va, value);
+  frames_.WritableFrame(pte->frame).StoreCap(va - page_va, value);
 }
 
 }  // namespace ufork

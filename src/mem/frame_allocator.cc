@@ -4,6 +4,8 @@
 
 namespace ufork {
 
+const Frame FrameAllocator::kZeroFrame;
+
 FrameAllocator::FrameAllocator(uint64_t max_frames) : max_frames_(max_frames) {}
 
 Result<FrameId> FrameAllocator::Allocate() { return AllocateInternal(/*zero=*/true); }
@@ -49,10 +51,8 @@ Result<FrameId> FrameAllocator::AllocateInternal(bool zero) {
   }
   const FrameId id = *id_or;
   Slot& slot = slots_[id];
-  if (slot.frame == nullptr) {
-    slot.frame = std::make_unique<Frame>();  // fresh frames are born zeroed and tag-free
-  } else if (zero) {
-    slot.frame->Reset();
+  if (zero && slot.frame != nullptr) {
+    slot.frame->Reset();  // recycled storage; a storage-less slot already reads as zero
   }
   slot.tenant = tenant;
   slot.refcount = 1;
@@ -82,6 +82,16 @@ void FrameAllocator::Free(FrameId id) {
   free_list_.push_back(id);
   if (release_hook_) {
     release_hook_();
+  }
+}
+
+void FrameAllocator::CopyFrame(FrameId dst, FrameId src) {
+  UF_DCHECK(IsLive(dst) && IsLive(src));
+  const Frame* from = slots_[src].frame.get();
+  if (from != nullptr) {
+    WritableFrame(dst).CopyFrom(*from);
+  } else if (Frame* to = slots_[dst].frame.get(); to != nullptr) {
+    to->Reset();
   }
 }
 

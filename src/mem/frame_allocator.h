@@ -4,7 +4,8 @@
 // multiple PTEs mapping one frame. Reference counts also drive the proportional-set-size (PSS)
 // residency metric the paper reports (§5.2 "we consider the proportional resident set as the
 // memory consumed by a process"). Frame storage is created lazily, so a simulated machine with
-// a large physical range costs host memory only for frames actually touched.
+// a large physical range costs host memory only for frames actually written: a frame that was
+// never written holds no storage and reads as all zero and tag-free (DESIGN.md §4.6).
 #ifndef UFORK_SRC_MEM_FRAME_ALLOCATOR_H_
 #define UFORK_SRC_MEM_FRAME_ALLOCATOR_H_
 
@@ -39,11 +40,11 @@ class FrameAllocator {
   FrameAllocator(const FrameAllocator&) = delete;
   FrameAllocator& operator=(const FrameAllocator&) = delete;
 
-  // Allocates a zeroed frame with refcount 1.
+  // Allocates a zeroed frame with refcount 1. A fresh slot gets no storage.
   Result<FrameId> Allocate();
 
   // Allocates a frame with UNSPECIFIED contents (refcount 1) for callers that immediately
-  // overwrite the whole page (Frame::CopyFrom). Recycled frames skip the redundant re-zero,
+  // overwrite the whole page (CopyFrame). Recycled frames skip the redundant re-zero,
   // and their record storage keeps its capacity — the fork/fault copy path allocates nothing
   // in steady state.
   Result<FrameId> AllocateForCopy();
@@ -73,13 +74,33 @@ class FrameAllocator {
 
   uint32_t RefCount(FrameId id) const;
 
-  Frame& frame(FrameId id) {
-    UF_DCHECK(IsLive(id));
-    return *slots_[id].frame;
-  }
+  // Read view of a live frame: its storage, or the shared all-zero frame if it was never
+  // written. Never allocates.
   const Frame& frame(FrameId id) const {
     UF_DCHECK(IsLive(id));
-    return *slots_[id].frame;
+    const Frame* stored = slots_[id].frame.get();
+    return stored != nullptr ? *stored : kZeroFrame;
+  }
+
+  // Write view of a live frame: a storage-less frame first gets a zeroed Frame. Every writer
+  // goes through here, so a read can never allocate.
+  Frame& WritableFrame(FrameId id) {
+    UF_DCHECK(IsLive(id));
+    std::unique_ptr<Frame>& stored = slots_[id].frame;
+    if (stored == nullptr) {
+      stored = std::make_unique<Frame>();
+      ++storage_frames_;
+    }
+    return *stored;
+  }
+
+  // Copies src's data and tags into dst. A storage-less src leaves dst zero without giving it
+  // storage.
+  void CopyFrame(FrameId dst, FrameId src);
+
+  bool HasStorage(FrameId id) const {
+    UF_DCHECK(IsLive(id));
+    return slots_[id].frame != nullptr;
   }
 
   bool IsLive(FrameId id) const { return id < slots_.size() && slots_[id].refcount > 0; }
@@ -88,6 +109,8 @@ class FrameAllocator {
   uint64_t bytes_in_use() const { return frames_in_use() * kPageSize; }
   uint64_t peak_frames() const { return peak_frames_; }
   uint64_t total_allocations() const { return total_allocations_; }
+  // Slots holding storage, live or recycled: the frames' host memory is this times a Frame.
+  uint64_t storage_frames() const { return storage_frames_; }
 
   // Watermark inputs (DESIGN.md §4.10): the admission controller keys off the free-frame
   // count, which includes both recycled frames and never-grown slots.
@@ -141,7 +164,7 @@ class FrameAllocator {
 
  private:
   struct Slot {
-    std::unique_ptr<Frame> frame;
+    std::unique_ptr<Frame> frame;  // null until first written; kept when the slot is recycled
     uint32_t refcount = 0;
     TenantId tenant = kSystemTenant;  // billing owner while the slot is live
   };
@@ -152,6 +175,8 @@ class FrameAllocator {
   bool ChargeTenant(TenantId tenant);     // cap check + tentative charge
   void UnchargeTenant(TenantId tenant);
 
+  static const Frame kZeroFrame;  // the read view of every storage-less frame
+
   uint64_t max_frames_;
   FaultInjector* injector_ = nullptr;
   std::vector<Slot> slots_;
@@ -159,6 +184,7 @@ class FrameAllocator {
   uint64_t frames_in_use_ = 0;
   uint64_t peak_frames_ = 0;
   uint64_t total_allocations_ = 0;
+  uint64_t storage_frames_ = 0;
   TenantId current_tenant_ = kSystemTenant;
   std::map<TenantId, uint64_t> tenant_frames_;  // outstanding frames per tenant
   std::map<TenantId, uint64_t> tenant_caps_;    // grant-time ceilings (absent: uncapped)

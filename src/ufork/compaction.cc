@@ -96,7 +96,7 @@ class UforkRegionMover : public RegionMover {
       }
       machine.Charge(costs.page_tag_scan);
       const RelocationResult reloc = RelocateFrameInto(
-          machine.frames().frame(pte.frame), kernel_.address_space(), new_base_, uproc_.size);
+          machine.frames(), pte.frame, kernel_.address_space(), new_base_, uproc_.size);
       machine.Charge(costs.cap_relocate * reloc.relocated);
       caps_relocated_ += reloc.relocated;
       rewritten_.push_back(pte.frame);
@@ -121,7 +121,7 @@ class UforkRegionMover : public RegionMover {
     for (const FrameId frame : rewritten_) {
       machine.Charge(costs.page_tag_scan);
       const RelocationResult reloc =
-          RelocateFrameInto(machine.frames().frame(frame), as, old_base_, uproc_.size);
+          RelocateFrameInto(machine.frames(), frame, as, old_base_, uproc_.size);
       machine.Charge(costs.cap_relocate * reloc.relocated);
     }
     if (batched_remap_ && next_ > 0) {

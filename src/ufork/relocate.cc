@@ -40,6 +40,14 @@ RelocationResult RelocateFrameInto(Frame& frame, const AddressSpace& as, uint64_
   return result;
 }
 
+RelocationResult RelocateFrameInto(FrameAllocator& frames, FrameId id, const AddressSpace& as,
+                                   uint64_t region_lo, uint64_t region_size, RegionMemo* memo) {
+  if (!frames.frame(id).HasTags()) {
+    return {};
+  }
+  return RelocateFrameInto(frames.WritableFrame(id), as, region_lo, region_size, memo);
+}
+
 RelocationResult RelocateRegisterFile(RegisterFile& regs, uint64_t parent_lo,
                                       uint64_t parent_size, uint64_t child_lo) {
   RelocationResult result;

@@ -15,6 +15,7 @@
 #include "src/machine/register_file.h"
 #include "src/mem/address_space.h"
 #include "src/mem/frame.h"
+#include "src/mem/frame_allocator.h"
 
 namespace ufork {
 
@@ -40,6 +41,12 @@ struct RegionMemo {
 // frames; nullptr scans with a fresh per-call memo.
 RelocationResult RelocateFrameInto(Frame& frame, const AddressSpace& as, uint64_t region_lo,
                                    uint64_t region_size, RegionMemo* memo = nullptr);
+
+// The same rewrite of frame `id`. A frame without tags has nothing to relocate, so it is not
+// given storage (a tagged frame always has storage already).
+RelocationResult RelocateFrameInto(FrameAllocator& frames, FrameId id, const AddressSpace& as,
+                                   uint64_t region_lo, uint64_t region_size,
+                                   RegionMemo* memo = nullptr);
 
 // Same rewrite for a register file at fork time (tags extend to registers, §3.5 step 2).
 // `parent_lo` is the forking μprocess's region base (registers always refer to the parent).

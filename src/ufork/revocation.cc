@@ -46,13 +46,12 @@ bool RevocationSweeper::Step(uint64_t max_frames) {
     if (!machine.frames().IsLive(id)) {
       continue;  // freed since the snapshot: nothing left to revoke
     }
-    Frame& frame = machine.frames().frame(id);
-    if (!frame.HasTags()) {
+    if (!machine.frames().frame(id).HasTags()) {
       continue;  // rank-select fast path: untagged frames cost nothing
     }
     machine.Charge(costs.page_tag_scan);
     ++scanned;
-    frame.ForEachTaggedCap([&](uint64_t, Capability& cap) {
+    machine.frames().WritableFrame(id).ForEachTaggedCap([&](uint64_t, Capability& cap) {
       if (!cap.tag()) {
         return;  // an already-stripped record under a set tag bit (frame.h strip idiom)
       }
@@ -90,11 +89,10 @@ Result<void> CheckRevocationInvariant(Kernel& kernel) {
     if (violation.has_value()) {
       return;
     }
-    Frame& frame = frames.frame(id);
-    if (!frame.HasTags()) {
+    if (!frames.frame(id).HasTags()) {
       return;
     }
-    frame.ForEachTaggedCap([&](uint64_t offset, Capability& cap) {
+    frames.WritableFrame(id).ForEachTaggedCap([&](uint64_t offset, Capability& cap) {
       if (violation.has_value() || !cap.tag()) {
         return;
       }

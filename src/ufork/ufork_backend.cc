@@ -17,10 +17,9 @@ Result<FrameId> UforkBackend::CopyAndRelocate(KernelCore& kernel, FrameId src_fr
   const CostModel& costs = kernel.costs();
   UF_ASSIGN_OR_RETURN(const FrameId dst, machine.frames().AllocateForCopy());
   machine.Charge(costs.frame_alloc + costs.page_copy + costs.page_tag_scan);
-  Frame& dst_frame = machine.frames().frame(dst);
-  dst_frame.CopyFrom(machine.frames().frame(src_frame));
-  const RelocationResult reloc =
-      RelocateFrameInto(dst_frame, kernel.address_space(), region_lo, region_size, memo);
+  machine.frames().CopyFrame(dst, src_frame);
+  const RelocationResult reloc = RelocateFrameInto(machine.frames(), dst, kernel.address_space(),
+                                                   region_lo, region_size, memo);
   machine.Charge(costs.cap_relocate * reloc.relocated);
   kernel.stats().caps_stripped += reloc.stripped;
   if (out != nullptr) {
@@ -201,10 +200,9 @@ Result<void> UforkBackend::ResolveFault(KernelCore& kernel, Uproc& owner, PageTa
     for (uint64_t i = 0; i < window.pages; ++i) {
       Pte* page = pt.LookupMutable(info.va + i * kPageSize);
       charge(costs.frame_alloc + costs.page_copy + costs.page_tag_scan);
-      Frame& dst = machine.frames().frame(fresh[i]);
-      dst.CopyFrom(machine.frames().frame(page->frame));
-      const RelocationResult page_reloc =
-          RelocateFrameInto(dst, kernel.address_space(), owner.base, owner.size, &memo);
+      machine.frames().CopyFrame(fresh[i], page->frame);
+      const RelocationResult page_reloc = RelocateFrameInto(
+          machine.frames(), fresh[i], kernel.address_space(), owner.base, owner.size, &memo);
       charge(costs.cap_relocate * page_reloc.relocated);
       reloc.tags_seen += page_reloc.tags_seen;
       reloc.relocated += page_reloc.relocated;
@@ -224,9 +222,8 @@ Result<void> UforkBackend::ResolveFault(KernelCore& kernel, Uproc& owner, PageTa
     for (uint64_t i = 0; i < window.pages; ++i) {
       Pte* page = pt.LookupMutable(info.va + i * kPageSize);
       charge(costs.page_tag_scan);
-      const RelocationResult page_reloc =
-          RelocateFrameInto(machine.frames().frame(page->frame), kernel.address_space(),
-                            owner.base, owner.size, &memo);
+      const RelocationResult page_reloc = RelocateFrameInto(
+          machine.frames(), page->frame, kernel.address_space(), owner.base, owner.size, &memo);
       charge(costs.cap_relocate * page_reloc.relocated);
       reloc.tags_seen += page_reloc.tags_seen;
       reloc.relocated += page_reloc.relocated;

@@ -469,7 +469,7 @@ TEST(CompactionConcurrent, ForgedReadOfSweptRangeFaults) {
   Pte* got_pte = live->page_table->LookupMutable(got_va);
   ASSERT_NE(got_pte, nullptr);
   ASSERT_TRUE(PtePopulated(*got_pte));
-  Frame& got_frame = kernel->machine().frames().frame(got_pte->frame);
+  Frame& got_frame = kernel->machine().frames().WritableFrame(got_pte->frame);
   const uint64_t slot_off = static_cast<uint64_t>(kGotSlotFirstUser + 2) * kCapSize;
   got_frame.StoreCap(slot_off, Capability::Root(doomed_base + 0x100, 64, kPermAllData));
   ASSERT_TRUE(got_frame.LoadCap(slot_off).tag());

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
+#include <iterator>
 #include <map>
 
 #include "src/base/rng.h"
@@ -388,9 +390,9 @@ TEST(FrameAllocator, ReusedFrameIsZeroedAndUntagged) {
   FrameAllocator alloc(2);
   auto a = alloc.Allocate();
   ASSERT_TRUE(a.ok());
-  alloc.frame(*a).StoreCap(0, TestCap(0x2000));
+  alloc.WritableFrame(*a).StoreCap(0, TestCap(0x2000));
   const uint64_t v = 7;
-  alloc.frame(*a).Write(100, std::as_bytes(std::span(&v, 1)));
+  alloc.WritableFrame(*a).Write(100, std::as_bytes(std::span(&v, 1)));
   alloc.Release(*a);
   auto b = alloc.Allocate();
   ASSERT_TRUE(b.ok());
@@ -404,20 +406,20 @@ TEST(FrameAllocator, AllocateForCopyThenCopyFromMatchesSource) {
   FrameAllocator alloc(4);
   auto src = alloc.Allocate();
   ASSERT_TRUE(src.ok());
-  alloc.frame(*src).StoreCap(48, TestCap(0x9000));
+  alloc.WritableFrame(*src).StoreCap(48, TestCap(0x9000));
   const uint64_t v = 0x42;
-  alloc.frame(*src).Write(1000, std::as_bytes(std::span(&v, 1)));
+  alloc.WritableFrame(*src).Write(1000, std::as_bytes(std::span(&v, 1)));
   // Dirty a frame with data and tags, release it, then reallocate via the copy path: the
   // recycled frame has unspecified contents, but CopyFrom must fully overwrite them.
   auto scratch = alloc.Allocate();
   ASSERT_TRUE(scratch.ok());
-  alloc.frame(*scratch).StoreCap(0, TestCap(0x8000));
-  alloc.frame(*scratch).Fill(0, kPageSize, std::byte{0xee});
+  alloc.WritableFrame(*scratch).StoreCap(0, TestCap(0x8000));
+  alloc.WritableFrame(*scratch).Fill(0, kPageSize, std::byte{0xee});
   alloc.Release(*scratch);
   auto dst = alloc.AllocateForCopy();
   ASSERT_TRUE(dst.ok());
   EXPECT_EQ(*dst, *scratch);  // recycled slot
-  alloc.frame(*dst).CopyFrom(alloc.frame(*src));
+  alloc.WritableFrame(*dst).CopyFrom(alloc.frame(*src));
   EXPECT_EQ(alloc.frame(*dst).CountTags(), 1u);
   EXPECT_TRUE(alloc.frame(*dst).LoadCap(48).IdenticalTo(alloc.frame(*src).LoadCap(48)));
   EXPECT_EQ(std::memcmp(alloc.frame(*dst).raw(), alloc.frame(*src).raw(), kPageSize), 0);
@@ -427,7 +429,7 @@ TEST(FrameAllocator, AllocateAfterForCopyStillZeroes) {
   FrameAllocator alloc(2);
   auto a = alloc.AllocateForCopy();
   ASSERT_TRUE(a.ok());
-  alloc.frame(*a).StoreCap(0, TestCap(0x2000));
+  alloc.WritableFrame(*a).StoreCap(0, TestCap(0x2000));
   alloc.Release(*a);
   auto b = alloc.Allocate();  // plain Allocate must still hand out a zeroed, tag-free frame
   ASSERT_TRUE(b.ok());
@@ -480,6 +482,141 @@ TEST(FrameAllocator, PeakTracksHighWaterMark) {
   }
   EXPECT_EQ(alloc.peak_frames(), 5u);
   EXPECT_EQ(alloc.frames_in_use(), 0u);
+}
+
+TEST(FrameAllocator, NeverWrittenFrameHasNoStorage) {
+  FrameAllocator alloc(8);
+  const FrameId zero = alloc.Allocate().value();
+  const FrameId copy = alloc.AllocateForCopy().value();
+  EXPECT_EQ(alloc.storage_frames(), 0u);
+  EXPECT_FALSE(alloc.HasStorage(zero));
+  EXPECT_FALSE(alloc.HasStorage(copy));
+  // The read view is all zero and tag-free, and reading it allocates nothing.
+  for (const FrameId id : {zero, copy}) {
+    const Frame& view = alloc.frame(id);
+    EXPECT_FALSE(view.HasTags());
+    EXPECT_EQ(std::memcmp(view.raw(), Frame().raw(), kPageSize), 0);
+  }
+  EXPECT_EQ(alloc.storage_frames(), 0u);
+
+  const FrameId written = alloc.Allocate().value();
+  alloc.WritableFrame(written).StoreCap(32, TestCap(0x3000));
+  EXPECT_TRUE(alloc.HasStorage(written));
+  EXPECT_EQ(alloc.storage_frames(), 1u);
+
+  // A storage-less source leaves a storage-less destination storage-less...
+  alloc.CopyFrame(copy, zero);
+  EXPECT_FALSE(alloc.HasStorage(copy));
+  EXPECT_EQ(alloc.storage_frames(), 1u);
+  // ...and zeroes one that has storage, keeping it.
+  alloc.CopyFrame(written, zero);
+  EXPECT_TRUE(alloc.HasStorage(written));
+  EXPECT_FALSE(alloc.frame(written).HasTags());
+  EXPECT_EQ(std::memcmp(alloc.frame(written).raw(), Frame().raw(), kPageSize), 0);
+  // A source with storage gives the destination storage.
+  alloc.WritableFrame(written).StoreCap(64, TestCap(0x5000));
+  alloc.CopyFrame(copy, written);
+  EXPECT_TRUE(alloc.HasStorage(copy));
+  EXPECT_TRUE(alloc.frame(copy).LoadCap(64).IdenticalTo(TestCap(0x5000)));
+  EXPECT_EQ(alloc.storage_frames(), 2u);
+
+  // A recycled slot keeps its storage; Allocate hands it out zeroed.
+  alloc.Release(copy);
+  const FrameId recycled = alloc.Allocate().value();
+  EXPECT_EQ(recycled, copy);
+  EXPECT_TRUE(alloc.HasStorage(recycled));
+  EXPECT_FALSE(alloc.frame(recycled).HasTags());
+  EXPECT_EQ(std::memcmp(alloc.frame(recycled).raw(), Frame().raw(), kPageSize), 0);
+  EXPECT_EQ(alloc.storage_frames(), 2u);
+}
+
+// Random Allocate / AllocateForCopy / CopyFrame / write / fill / capability store / AddRef /
+// Release sequences against a RefFrame per live frame. After every step each live frame must
+// read exactly as its reference, and a frame with tags must have storage.
+TEST(FrameAllocator, StorageDifferentialAgainstReference) {
+  for (const uint64_t seed : {1u, 2u, 3u, 0x5eedu}) {
+    SCOPED_TRACE(seed);
+    constexpr uint64_t kMaxFrames = 12;
+    FrameAllocator alloc(kMaxFrames);
+    std::map<FrameId, RefFrame> ref;
+    std::map<FrameId, uint32_t> refs;
+    Rng rng(seed);
+    auto pick = [&]() {
+      auto it = ref.begin();
+      std::advance(it, static_cast<ptrdiff_t>(rng.NextBelow(ref.size())));
+      return it->first;
+    };
+    for (int step = 0; step < 2000; ++step) {
+      const uint64_t op = ref.empty() ? 0 : rng.NextBelow(9);
+      if (op <= 1 && ref.size() < kMaxFrames) {
+        if (op == 0) {
+          const uint64_t before = alloc.storage_frames();
+          const FrameId id = alloc.Allocate().value();
+          EXPECT_EQ(alloc.storage_frames(), before);  // recycled or not, no new storage
+          ref[id] = RefFrame();
+          refs[id] = 1;
+        } else {
+          const FrameId src = pick();
+          const FrameId id = alloc.AllocateForCopy().value();
+          alloc.CopyFrame(id, src);
+          ref[id] = ref[src];
+          refs[id] = 1;
+        }
+      } else if (op == 2) {  // copy between two live frames
+        const FrameId dst = pick();
+        const FrameId src = pick();
+        if (dst != src) {
+          const bool had = alloc.HasStorage(dst);
+          alloc.CopyFrame(dst, src);
+          EXPECT_EQ(alloc.HasStorage(dst), had || alloc.HasStorage(src));
+          ref[dst] = ref[src];
+        }
+      } else if (op == 3) {  // data write of 1..64 random bytes
+        const FrameId id = pick();
+        const uint64_t len = 1 + rng.NextBelow(64);
+        const uint64_t off = rng.NextBelow(kPageSize - len + 1);
+        std::array<std::byte, 64> buf;
+        for (uint64_t i = 0; i < len; ++i) {
+          buf[i] = static_cast<std::byte>(rng.NextBelow(256));
+        }
+        alloc.WritableFrame(id).Write(off, std::span(buf).first(len));
+        ref[id].Write(off, std::span(buf).first(len));
+      } else if (op == 4) {  // fill of 0..512 bytes
+        const FrameId id = pick();
+        const uint64_t len = rng.NextBelow(513);
+        const uint64_t off = rng.NextBelow(kPageSize - len + 1);
+        const auto v = static_cast<std::byte>(rng.NextBelow(256));
+        alloc.WritableFrame(id).Fill(off, len, v);
+        ref[id].Fill(off, len, v);
+      } else if (op == 5 || op == 6) {  // tagged or untagged capability store
+        const FrameId id = pick();
+        const uint64_t off = rng.NextBelow(kGranulesPerPage) * kCapSize;
+        const Capability c = op == 5 ? TestCap(0x1000 + rng.NextBelow(0xff000))
+                                     : Capability::Integer(rng.NextU64());
+        alloc.WritableFrame(id).StoreCap(off, c);
+        ref[id].StoreCap(off, c);
+      } else if (op == 7) {
+        const FrameId id = pick();
+        alloc.AddRef(id);
+        ++refs[id];
+      } else if (op == 8) {  // release; the slot's storage stays for the next grant
+        const FrameId id = pick();
+        alloc.Release(id);
+        if (--refs[id] == 0) {
+          ref.erase(id);
+          refs.erase(id);
+        }
+      }
+      for (const auto& [id, expected] : ref) {
+        const Frame& view = alloc.frame(id);
+        if (view.HasTags()) {
+          ASSERT_TRUE(alloc.HasStorage(id)) << "tagged frame " << id << " without storage";
+        }
+        ExpectSameState(view, expected);
+      }
+      ASSERT_LE(alloc.storage_frames(), kMaxFrames);
+    }
+  }
 }
 
 }  // namespace

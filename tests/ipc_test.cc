@@ -2,6 +2,7 @@
 // message-queue boundaries, VFS seek/append/rename behaviour, and descriptor-table mechanics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -315,6 +316,118 @@ TEST(VfsSemantics, RenameReplacesTarget) {
     CO_ASSERT_OK(size);
     EXPECT_EQ(*size, 9u);
     EXPECT_EQ((co_await g.FileSize("/a")).code(), Code::kErrNoEnt);
+    co_return;
+  });
+}
+
+// Writes `len` pattern bytes at fd's current offset `pos` through guest buffer `buf` and
+// mirrors them into the byte-vector reference `ref`, zero-extending it over any gap.
+SimTask<Result<void>> WriteMirrored(Guest& g, int fd, const Capability& buf, uint64_t pos,
+                                    uint64_t len, std::vector<std::byte>& ref) {
+  std::vector<std::byte> bytes(len);
+  for (uint64_t i = 0; i < len; ++i) {
+    bytes[i] = static_cast<std::byte>((pos + i) * 7 + len);
+  }
+  if (auto staged = g.WriteBytes(buf, buf.base(), bytes); !staged.ok()) {
+    co_return staged.error();
+  }
+  auto n = co_await g.Write(fd, buf, len);
+  if (!n.ok()) {
+    co_return n.error();
+  }
+  if (ref.size() < pos + len) {
+    ref.resize(pos + len);
+  }
+  std::copy(bytes.begin(), bytes.end(), ref.begin() + static_cast<ptrdiff_t>(pos));
+  co_return OkResult();
+}
+
+// Reads `path` whole in 1000-byte chunks, which straddle every 4 KiB block edge, and checks
+// it against `ref`.
+SimTask<void> ExpectFileEquals(Guest& g, const std::string& path, const Capability& buf,
+                               const std::vector<std::byte>& ref) {
+  auto size = co_await g.FileSize(path);
+  CO_ASSERT_OK(size);
+  EXPECT_EQ(*size, ref.size());
+  auto fd = co_await g.Open(path, kOpenRead);
+  CO_ASSERT_OK(fd);
+  std::vector<std::byte> got;
+  for (;;) {
+    auto n = co_await g.Read(*fd, buf, 1000);
+    CO_ASSERT_OK(n);
+    if (*n == 0) {
+      break;
+    }
+    auto bytes = g.FetchBytes(buf, static_cast<uint64_t>(*n));
+    CO_ASSERT_OK(bytes);
+    got.insert(got.end(), bytes->begin(), bytes->end());
+  }
+  EXPECT_TRUE(got == ref) << path << ": " << got.size() << " bytes read, " << ref.size()
+                          << " expected";
+  CO_ASSERT_OK(co_await g.Close(*fd));
+}
+
+TEST(VfsSemantics, BlockFileMatchesByteVectorReference) {
+  RunGuest([](Guest& g) -> SimTask<void> {
+    auto buf = g.Malloc(3 * kVfsBlockSize);
+    CO_ASSERT_OK(buf);
+    auto fd = co_await g.Open("/blocks", kOpenRead | kOpenWrite | kOpenCreate);
+    CO_ASSERT_OK(fd);
+    std::vector<std::byte> ref;
+    // An unaligned write spanning three blocks.
+    CO_ASSERT_OK(co_await g.Seek(*fd, 100, kSeekSet));
+    CO_ASSERT_OK(co_await WriteMirrored(g, *fd, *buf, 100, 2 * kVfsBlockSize + 50, ref));
+    co_await ExpectFileEquals(g, "/blocks", *buf, ref);
+    // An overwrite in the middle, across the first block edge.
+    CO_ASSERT_OK(co_await g.Seek(*fd, kVfsBlockSize - 10, kSeekSet));
+    CO_ASSERT_OK(co_await WriteMirrored(g, *fd, *buf, kVfsBlockSize - 10, 30, ref));
+    co_await ExpectFileEquals(g, "/blocks", *buf, ref);
+    // A seek past EOF and a write there: the gap, two blocks of it, reads zero.
+    const uint64_t far = ref.size() + 2 * kVfsBlockSize + 5;
+    CO_ASSERT_OK(co_await g.Seek(*fd, static_cast<int64_t>(far), kSeekSet));
+    CO_ASSERT_OK(co_await WriteMirrored(g, *fd, *buf, far, 17, ref));
+    co_await ExpectFileEquals(g, "/blocks", *buf, ref);
+    CO_ASSERT_OK(co_await g.Close(*fd));
+    // Append lands at the end whatever the offset.
+    auto afd = co_await g.Open("/blocks", kOpenWrite | kOpenAppend);
+    CO_ASSERT_OK(afd);
+    CO_ASSERT_OK(co_await WriteMirrored(g, *afd, *buf, ref.size(), kVfsBlockSize + 1, ref));
+    CO_ASSERT_OK(co_await g.Close(*afd));
+    co_await ExpectFileEquals(g, "/blocks", *buf, ref);
+    // Rename keeps the bytes; the old name is gone.
+    CO_ASSERT_OK(co_await g.Rename("/blocks", "/moved"));
+    co_await ExpectFileEquals(g, "/moved", *buf, ref);
+    EXPECT_EQ((co_await g.FileSize("/blocks")).code(), Code::kErrNoEnt);
+    // Truncate-on-open empties the file, and a short rewrite reads back alone.
+    auto tfd = co_await g.Open("/moved", kOpenWrite | kOpenTrunc);
+    CO_ASSERT_OK(tfd);
+    ref.clear();
+    co_await ExpectFileEquals(g, "/moved", *buf, ref);
+    CO_ASSERT_OK(co_await WriteMirrored(g, *tfd, *buf, 0, 10, ref));
+    co_await ExpectFileEquals(g, "/moved", *buf, ref);
+    co_return;
+  });
+}
+
+TEST(VfsSemantics, MmapOfFileEndingMidBlockReadsZeroTail) {
+  RunGuest([](Guest& g) -> SimTask<void> {
+    auto buf = g.Malloc(kVfsBlockSize);
+    CO_ASSERT_OK(buf);
+    const std::vector<std::byte> pattern(kVfsBlockSize, std::byte{0xab});
+    CO_ASSERT_OK(g.WriteBytes(*buf, buf->base(), pattern));
+    auto fd = co_await g.Open("/short", kOpenWrite | kOpenCreate);
+    CO_ASSERT_OK(fd);
+    CO_ASSERT_OK(co_await g.Write(*fd, *buf, kVfsBlockSize));
+    CO_ASSERT_OK(co_await g.Write(*fd, *buf, 100));  // the second block ends mid-way
+    CO_ASSERT_OK(co_await g.Close(*fd));
+    auto map = co_await g.MmapFile("/short", 2 * kPageSize);
+    CO_ASSERT_OK(map);
+    auto bytes = g.FetchBytes(*map, 2 * kPageSize);
+    CO_ASSERT_OK(bytes);
+    for (uint64_t i = 0; i < 2 * kPageSize; ++i) {
+      const std::byte want = i < kVfsBlockSize + 100 ? std::byte{0xab} : std::byte{0};
+      CO_ASSERT_TRUE((*bytes)[i] == want);
+    }
     co_return;
   });
 }

@@ -407,6 +407,68 @@ TEST(UforkEngine, ForkRollbackAcrossALeafBoundaryRestoresTheParent) {
   }
 }
 
+// A frame nobody wrote holds no host storage (DESIGN.md §4.6). Loading a word from every page
+// of a 16 MiB heap adds none, and a forked CoPA child whose capability loads pull the heap in
+// through 16-page fault-around windows gives storage only to copies of written pages.
+TEST(UforkEngine, HeapPagesNobodyWroteGetNoStorage) {
+  KernelConfig config;
+  config.strategy = ForkStrategy::kCopa;
+  config.layout.heap_size = 16 * kMiB;
+  config.fault_around.max_window = kMaxFaultAroundWindow;
+  config.fault_around.adaptive = false;
+  auto kernel = MakeUforkKernel(config);
+  const FrameAllocator& frames = kernel->machine().frames();
+  const uint64_t heap_off = kernel->layout().heap_off();
+  const uint64_t heap_pages = kernel->layout().heap_size() / kPageSize;
+  constexpr uint64_t kTaggedEvery = 2 * kMaxFaultAroundWindow;
+  uint64_t unwritten_copies = 0;
+  auto load_every_page = [&](Guest& g) {
+    bool ok = true;
+    for (uint64_t i = 0; i < heap_pages; ++i) {
+      ok &= g.Load<uint64_t>(g.ddc(), g.base() + heap_off + i * kPageSize).ok();
+    }
+    return ok;
+  };
+  auto pid = kernel->Spawn(
+      MakeGuestEntry([&](Guest& g) -> SimTask<void> {
+        const uint64_t storage0 = frames.storage_frames();
+        CO_ASSERT_TRUE(load_every_page(g));
+        CO_ASSERT_EQ(frames.storage_frames(), storage0);
+        auto block = g.Malloc(64);
+        CO_ASSERT_OK(block);
+        for (uint64_t i = kTaggedEvery; i < heap_pages; i += kTaggedEvery) {
+          CO_ASSERT_OK(g.StoreCap(g.ddc(), g.base() + heap_off + i * kPageSize, *block));
+        }
+        const uint64_t parent_base = g.base();
+        auto child = co_await g.Fork([&, parent_base](Guest& cg) -> SimTask<void> {
+          const uint64_t storage1 = frames.storage_frames();
+          CO_ASSERT_TRUE(load_every_page(cg));
+          CO_ASSERT_EQ(frames.storage_frames(), storage1);
+          for (uint64_t i = 0; i < heap_pages; ++i) {
+            CO_ASSERT_OK(cg.LoadCap(cg.ddc(), cg.base() + heap_off + i * kPageSize));
+          }
+          const PageTable& pt = *cg.uproc().page_table;
+          for (uint64_t i = 0; i < heap_pages; ++i) {
+            const std::optional<Pte> mine = pt.Lookup(cg.base() + heap_off + i * kPageSize);
+            const std::optional<Pte> theirs = pt.Lookup(parent_base + heap_off + i * kPageSize);
+            CO_ASSERT_TRUE(mine.has_value() && theirs.has_value());
+            if (mine->frame != theirs->frame && !frames.HasStorage(theirs->frame)) {
+              ++unwritten_copies;
+              CO_ASSERT_TRUE(!frames.HasStorage(mine->frame));
+            }
+          }
+          co_await cg.Exit(0);
+        });
+        CO_ASSERT_OK(child);
+        (void)co_await g.Wait();
+      }),
+      "heap");
+  ASSERT_TRUE(pid.ok());
+  kernel->Run();
+  EXPECT_GT(kernel->stats().pages_copied_on_fault, heap_pages / kTaggedEvery);
+  EXPECT_GT(unwritten_copies, heap_pages / 4);
+}
+
 // --- compaction ----------------------------------------------------------------------------
 
 // Parks the calling μprocess on a named message queue until a waker posts to it — a genuine
