@@ -80,11 +80,10 @@ constexpr uint64_t kRedisMaxVal = 4 * kKiB;
 constexpr uint64_t kRedisKeySpace = 256;
 
 // Watermarks as fractions of the post-boot free-frame count (measured at go-time, the same
-// calibration pattern tests/overload_test.cc uses). The gap between low and critical is the
-// headroom that lets already-admitted children finish allocating — it is what makes
-// crashed==0 achievable under sustained 2x overload.
+// calibration pattern tests/overload_test.cc uses). Admission sheds with EAGAIN, so every
+// frame below the low watermark is headroom that lets already-admitted children finish
+// allocating — it is what makes crashed==0 achievable under sustained 2x overload.
 constexpr double kLowFraction = 0.35;
-constexpr double kCriticalFraction = 0.10;
 constexpr double kClearFraction = 0.45;
 // Belt-and-braces only: the cap must sit well above any tenant's legitimate overload share
 // (admission watermarks do the shedding), and only contain a runaway hog. A binding cap
@@ -462,10 +461,7 @@ FleetResult RunFleet(System system, const FleetOptions& opt) {
       OverloadConfig oc;
       oc.enabled = true;
       oc.low_watermark = static_cast<uint64_t>(static_cast<double>(free0) * kLowFraction);
-      oc.critical_watermark =
-          static_cast<uint64_t>(static_cast<double>(free0) * kCriticalFraction);
       oc.clear_watermark = static_cast<uint64_t>(static_cast<double>(free0) * kClearFraction);
-      oc.max_parked = 0;  // open-loop fleet: shed with EAGAIN, never stall the generator
       k.admission().Configure(oc);
       const auto cap =
           static_cast<uint64_t>(static_cast<double>(free0) * kTenantCapFraction);

@@ -178,8 +178,14 @@ ROWS = [
         lambda read: read("FragmentationCompactionIncremental/32", "pause_cycles_max")
         / read("FragmentationCompaction/32", "pause_cycles_max"),
         ("<=", 0.1)),
-    # The *_NoAdmission fleet is the ablation and is not gated.
     *[row for system in ("uFork", "CheriBSD", "Nephele") for row in overload_rows(system)],
+    # The *_NoAdmission fleet is the ablation: admission must keep a measured win over it.
+    Row("overload.uFork.admission_gain_2x",
+        'uFork: admission control lifts goodput at 2x saturation >= 1.1x over the same fleet '
+        'without it (EXPERIMENTS.md "Overload")', "bench_overload", "OverloadFleet",
+        lambda read: read("OverloadFleet/uFork/20", "goodput_rps")
+        / read("OverloadFleet/uFork_NoAdmission/20", "goodput_rps"),
+        (">=", 1.1)),
 ]
 
 

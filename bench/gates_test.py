@@ -20,6 +20,7 @@ OVERLOAD = {f"OverloadFleet/{system}/{rate}": {"goodput_rps": goodput, "crashed"
             for system, goodputs in (("uFork", (17280, 27665)), ("CheriBSD", (17280, 34075)),
                                      ("Nephele", (7975, 15580)))
             for rate, goodput in zip((10, 20), goodputs)}
+OVERLOAD["OverloadFleet/uFork_NoAdmission/20"] = {"goodput_rps": 22640}
 TIB = 2**40
 
 # In-bound results, by binary or committed JSON: benchmark row -> counters.

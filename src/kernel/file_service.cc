@@ -14,12 +14,7 @@ namespace ufork {
 
 SimTask<Result<int>> FileService::Open(Uproc& caller, std::string path, uint32_t flags) {
   SyscallScope scope(kernel_, caller, Sys::kOpen);
-  {
-    auto entered = co_await scope.Enter();
-    if (!entered.ok()) {
-      co_return entered.error();
-    }
-  }
+  co_await scope.Enter();
   kernel_.machine().Charge(kernel_.costs().vfs_op);
   auto file = vfs_.Open(path, flags);
   if (!file.ok()) {
@@ -30,12 +25,7 @@ SimTask<Result<int>> FileService::Open(Uproc& caller, std::string path, uint32_t
 
 SimTask<Result<void>> FileService::Close(Uproc& caller, int fd) {
   SyscallScope scope(kernel_, caller, Sys::kClose);
-  {
-    auto entered = co_await scope.Enter();
-    if (!entered.ok()) {
-      co_return entered.error();
-    }
-  }
+  co_await scope.Enter();
   co_return caller.fds->Close(fd);
 }
 
@@ -43,12 +33,7 @@ SimTask<Result<int64_t>> FileService::Read(Uproc& caller, int fd, Capability buf
                                            uint64_t len) {
   co_await kernel_.procs().DeliverSignals(caller);
   SyscallScope scope(kernel_, caller, Sys::kRead);
-  {
-    auto entered = co_await scope.Enter();
-    if (!entered.ok()) {
-      co_return entered.error();
-    }
-  }
+  co_await scope.Enter();
   auto file_or = caller.fds->Get(fd);
   if (!file_or.ok()) {
     co_return file_or.error();
@@ -80,12 +65,7 @@ SimTask<Result<int64_t>> FileService::Read(Uproc& caller, int fd, Capability buf
 SimTask<Result<int64_t>> FileService::Write(Uproc& caller, int fd, Capability buf, uint64_t va,
                                             uint64_t len) {
   SyscallScope scope(kernel_, caller, Sys::kWrite);
-  {
-    auto entered = co_await scope.Enter();
-    if (!entered.ok()) {
-      co_return entered.error();
-    }
-  }
+  co_await scope.Enter();
   auto file_or = caller.fds->Get(fd);
   if (!file_or.ok()) {
     co_return file_or.error();
@@ -109,12 +89,7 @@ SimTask<Result<int64_t>> FileService::Write(Uproc& caller, int fd, Capability bu
 
 SimTask<Result<int64_t>> FileService::Seek(Uproc& caller, int fd, int64_t offset, int whence) {
   SyscallScope scope(kernel_, caller, Sys::kSeek);
-  {
-    auto entered = co_await scope.Enter();
-    if (!entered.ok()) {
-      co_return entered.error();
-    }
-  }
+  co_await scope.Enter();
   auto file_or = caller.fds->Get(fd);
   if (!file_or.ok()) {
     co_return file_or.error();
@@ -124,35 +99,20 @@ SimTask<Result<int64_t>> FileService::Seek(Uproc& caller, int fd, int64_t offset
 
 SimTask<Result<int>> FileService::Dup2(Uproc& caller, int oldfd, int newfd) {
   SyscallScope scope(kernel_, caller, Sys::kDup2);
-  {
-    auto entered = co_await scope.Enter();
-    if (!entered.ok()) {
-      co_return entered.error();
-    }
-  }
+  co_await scope.Enter();
   co_return caller.fds->Dup2(oldfd, newfd);
 }
 
 SimTask<Result<void>> FileService::Unlink(Uproc& caller, std::string path) {
   SyscallScope scope(kernel_, caller, Sys::kUnlink);
-  {
-    auto entered = co_await scope.Enter();
-    if (!entered.ok()) {
-      co_return entered.error();
-    }
-  }
+  co_await scope.Enter();
   kernel_.machine().Charge(kernel_.costs().vfs_op);
   co_return vfs_.Unlink(path);
 }
 
 SimTask<Result<void>> FileService::Rename(Uproc& caller, std::string from, std::string to) {
   SyscallScope scope(kernel_, caller, Sys::kRename);
-  {
-    auto entered = co_await scope.Enter();
-    if (!entered.ok()) {
-      co_return entered.error();
-    }
-  }
+  co_await scope.Enter();
   kernel_.machine().Charge(kernel_.costs().vfs_op);
   co_return vfs_.Rename(from, to);
 }
@@ -160,12 +120,7 @@ SimTask<Result<void>> FileService::Rename(Uproc& caller, std::string from, std::
 SimTask<Result<Capability>> FileService::MmapFile(Uproc& caller, std::string path,
                                                   uint64_t length) {
   SyscallScope scope(kernel_, caller, Sys::kMmapFile);
-  {
-    auto entered = co_await scope.Enter();
-    if (!entered.ok()) {
-      co_return entered.error();
-    }
-  }
+  co_await scope.Enter();
   Machine& machine = kernel_.machine();
   if (length == 0 || length % kPageSize != 0) {
     co_return Error{Code::kErrInval, "mmap length must be a non-zero page multiple"};
@@ -216,12 +171,7 @@ SimTask<Result<Capability>> FileService::MmapFile(Uproc& caller, std::string pat
 
 SimTask<Result<uint64_t>> FileService::FileSize(Uproc& caller, std::string path) {
   SyscallScope scope(kernel_, caller, Sys::kFileSize);
-  {
-    auto entered = co_await scope.Enter();
-    if (!entered.ok()) {
-      co_return entered.error();
-    }
-  }
+  co_await scope.Enter();
   kernel_.machine().Charge(kernel_.costs().vfs_op);
   co_return vfs_.FileSize(path);
 }

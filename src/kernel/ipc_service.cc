@@ -14,12 +14,7 @@ IpcService::IpcService(Kernel& kernel)
 
 SimTask<Result<std::pair<int, int>>> IpcService::Pipe(Uproc& caller) {
   SyscallScope scope(kernel_, caller, Sys::kPipe);
-  {
-    auto entered = co_await scope.Enter();
-    if (!entered.ok()) {
-      co_return entered.error();
-    }
-  }
+  co_await scope.Enter();
   kernel_.machine().Charge(kernel_.costs().pipe_op);
   if (kernel_.fault_injector().ShouldFail(FaultSite::kPipeReserve)) {
     co_return Error{Code::kErrNoMem, "pipe buffer reservation failed (injected)"};
@@ -40,12 +35,7 @@ SimTask<Result<std::pair<int, int>>> IpcService::Pipe(Uproc& caller) {
 
 SimTask<Result<int>> IpcService::MqOpen(Uproc& caller, std::string name, bool create) {
   SyscallScope scope(kernel_, caller, Sys::kMqOpen);
-  {
-    auto entered = co_await scope.Enter();
-    if (!entered.ok()) {
-      co_return entered.error();
-    }
-  }
+  co_await scope.Enter();
   kernel_.machine().Charge(kernel_.costs().vfs_op);
   auto queue = mqueues_.Open(name, create);
   if (!queue.ok()) {
@@ -58,12 +48,7 @@ SimTask<Result<int>> IpcService::MqOpen(Uproc& caller, std::string name, bool cr
 
 SimTask<Result<int>> IpcService::ShmOpen(Uproc& caller, std::string name, uint64_t size) {
   SyscallScope scope(kernel_, caller, Sys::kShmOpen);
-  {
-    auto entered = co_await scope.Enter();
-    if (!entered.ok()) {
-      co_return entered.error();
-    }
-  }
+  co_await scope.Enter();
   auto existing = shm_by_name_.find(name);
   if (existing != shm_by_name_.end()) {
     co_return existing->second;
@@ -95,12 +80,7 @@ SimTask<Result<int>> IpcService::ShmOpen(Uproc& caller, std::string name, uint64
 
 SimTask<Result<Capability>> IpcService::ShmMap(Uproc& caller, int shm_id) {
   SyscallScope scope(kernel_, caller, Sys::kShmMap);
-  {
-    auto entered = co_await scope.Enter();
-    if (!entered.ok()) {
-      co_return entered.error();
-    }
-  }
+  co_await scope.Enter();
   auto it = shm_objects_.find(shm_id);
   if (it == shm_objects_.end()) {
     co_return Error{Code::kErrBadFd, "no such shared memory object"};
@@ -128,12 +108,7 @@ SimTask<Result<Capability>> IpcService::ShmMap(Uproc& caller, int shm_id) {
 
 SimTask<Result<void>> IpcService::ShmUnlink(Uproc& caller, std::string name) {
   SyscallScope scope(kernel_, caller, Sys::kShmUnlink);
-  {
-    auto entered = co_await scope.Enter();
-    if (!entered.ok()) {
-      co_return entered.error();
-    }
-  }
+  co_await scope.Enter();
   auto it = shm_by_name_.find(name);
   if (it == shm_by_name_.end()) {
     co_return Error{Code::kErrNoEnt, "no such shared memory object"};
@@ -154,12 +129,7 @@ SimTask<Result<void>> IpcService::ShmUnlink(Uproc& caller, std::string name) {
 SimTask<Result<void>> IpcService::FutexWait(Uproc& caller, Capability cap, uint64_t va,
                                             uint64_t expected) {
   SyscallScope scope(kernel_, caller, Sys::kFutexWait);
-  {
-    auto entered = co_await scope.Enter();
-    if (!entered.ok()) {
-      co_return entered.error();
-    }
-  }
+  co_await scope.Enter();
   auto check = kernel_.ValidateUserBuffer(caller, cap, va, 8, /*is_write=*/false);
   if (!check.ok()) {
     co_return check.error();
@@ -194,12 +164,7 @@ SimTask<Result<void>> IpcService::FutexWait(Uproc& caller, Capability cap, uint6
 SimTask<Result<uint64_t>> IpcService::FutexWake(Uproc& caller, Capability cap, uint64_t va,
                                                 uint64_t n) {
   SyscallScope scope(kernel_, caller, Sys::kFutexWake);
-  {
-    auto entered = co_await scope.Enter();
-    if (!entered.ok()) {
-      co_return entered.error();
-    }
-  }
+  co_await scope.Enter();
   auto check = kernel_.ValidateUserBuffer(caller, cap, va, 8, /*is_write=*/false);
   if (!check.ok()) {
     co_return check.error();

@@ -57,7 +57,7 @@ KernelCore::KernelCore(const KernelConfig& config, std::unique_ptr<ForkBackend> 
       machine_(MachineConfig{config.phys_mem_bytes / kPageSize, config.costs}),
       address_space_(kUserBase, kUserTop),
       backend_(std::move(backend)),
-      admission_(sched_, machine_.frames(), stats_, config.overload) {
+      admission_(machine_.frames(), stats_) {
   UF_CHECK_MSG(backend_ != nullptr, "a ForkBackend is required");
   if (backend_->big_kernel_lock()) {
     kernel_lock_ = std::make_unique<VirtualLock>(sched_);
@@ -76,11 +76,6 @@ KernelCore::KernelCore(const KernelConfig& config, std::unique_ptr<ForkBackend> 
   address_space_.set_fault_injector(&fault_injector_);
   page_cache_ = std::make_unique<PageCache>(machine_);
   page_cache_->set_fault_injector(&fault_injector_);
-  // Backpressure drain: every last-reference frame release re-evaluates the watermarks and
-  // wakes parked forkers once the pool clears. Installed unconditionally — tests and benches
-  // arm the controller at runtime via admission().Configure() — and free when idle: the hook
-  // charges nothing and OnFramesFreed early-outs unless forkers are actually parked.
-  machine_.frames().set_release_hook([this] { admission_.OnFramesFreed(); });
   // Last: the service's constructor installs the machine VA forwarder.
   compaction_ = std::make_unique<CompactionService>(*this);
 }

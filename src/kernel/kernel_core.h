@@ -66,9 +66,6 @@ struct KernelConfig {
   // frame references after every syscall (SyscallScope exit). Debug aid: O(mapped pages) per
   // syscall, so off by default.
   bool check_frame_invariants = false;
-  // Frame-pool watermarks / admission control / backpressure (DESIGN.md §4.10). Disabled by
-  // default: the golden-cycle pins cover the disabled configuration.
-  OverloadConfig overload;
   // Demand paging + unified page cache (DESIGN.md §4.12). When on, heap/stack/TLS are
   // reserved as frame-less kPteNotPresent PTEs populated on first touch (zero-fill or
   // page-cache read-through), the lowest stack page becomes an unmapped guard gap, fork
@@ -120,9 +117,6 @@ struct KernelStats {
   // Overload control (DESIGN.md §4.10). All zero unless OverloadConfig::enabled.
   uint64_t admission_trips = 0;     // ADMITTING -> REJECTING transitions (low watermark hit)
   uint64_t admission_rejected = 0;  // fork/spawn refused with EAGAIN
-  uint64_t admission_parked = 0;    // would-be forkers parked on the backpressure queue
-  uint64_t admission_resumed = 0;   // parked forkers woken as frames freed
-  uint64_t parked_wait_cycles_max = 0;  // longest park (virtual cycles) any forker endured
   // Incremental compaction + revocation (DESIGN.md §4.13). Zero unless compact_budget_pages>0
   // or a quarantine sweep ran. pause_cycles_max covers the stop-the-world path too, so the
   // frag-gate can compare STW pause against the incremental per-quantum maximum.
@@ -176,8 +170,8 @@ class KernelCore {
   // and the region allocator at construction; IPC/VFS sites are wired by Kernel.
   FaultInjector& fault_injector() { return fault_injector_; }
 
-  // Overload control (DESIGN.md §4.10): watermark hysteresis, EAGAIN rejection and the
-  // backpressure park queue consulted by ProcService::Fork/Spawn. Disabled by default.
+  // Overload control (DESIGN.md §4.10): watermark hysteresis and EAGAIN rejection, consulted
+  // by ProcService::Fork/Spawn. Disabled until armed with admission().Configure().
   AdmissionController& admission() { return admission_; }
 
   // Incremental background compaction + revocation sweeping (DESIGN.md §4.13). Inert unless

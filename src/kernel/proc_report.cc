@@ -169,13 +169,10 @@ std::string KernelSummaryReport(Kernel& kernel) {
   if (admission.enabled()) {
     const OverloadConfig& overload = admission.config();
     os << "  admission: watermarks low=" << overload.low_watermark
-       << " critical=" << overload.critical_watermark << " clear=" << overload.clear_watermark
-       << " free=" << machine.frames().free_frames()
+       << " clear=" << overload.clear_watermark << " free=" << machine.frames().free_frames()
        << (admission.rejecting() ? " [REJECTING]" : " [ADMITTING]") << "\n"
        << "  admission trips=" << stats.admission_trips
-       << " rejected=" << stats.admission_rejected << " parked=" << stats.admission_parked
-       << " resumed=" << stats.admission_resumed << " (now parked " << admission.parked()
-       << ")\n";
+       << " rejected=" << stats.admission_rejected << "\n";
   }
   if (machine.frames().tenant_caps_active()) {
     os << "  tenants:";

@@ -9,45 +9,15 @@
 
 namespace ufork {
 
-SimTask<Result<void>> ProcService::AdmitNewUproc(Uproc& caller) {
-  // Admission happens at the front door, before the syscall enters its kernel section: a
-  // parked forker holds no lock, and a rejected one never pays for construction it would
-  // only roll back. Existing μprocesses are never throttled — only *new* ones are refused,
-  // so the frames that remain let the admitted fleet run to completion (§4.10).
-  AdmissionController& admission = kernel_.admission();
-  if (!admission.enabled()) {
-    co_return OkResult();
-  }
-  for (;;) {
-    switch (admission.Evaluate()) {
-      case AdmissionController::Decision::kAdmit:
-        co_return OkResult();
-      case AdmissionController::Decision::kReject:
-        co_return Error{Code::kErrAgain,
-                        "admission control: free frames below the low watermark"};
-      case AdmissionController::Decision::kPark:
-        // Backpressure: wait for the frame pool to clear, then re-contend. Queued per tenant
-        // so the aging drain can round-robin across tenants (oldest-first within each).
-        co_await admission.ParkUntilDrained(caller.tenant);
-        break;
-    }
-  }
-}
-
 SimTask<Result<Pid>> ProcService::Fork(Uproc& caller, UprocEntry child_entry) {
-  {
-    auto admitted = co_await AdmitNewUproc(caller);
-    if (!admitted.ok()) {
-      co_return admitted.error();
-    }
+  // Admission is the front door (DESIGN.md §4.10): it runs before the syscall enters its
+  // kernel section, so a refused creation holds no lock and never pays for construction it
+  // would only roll back. Existing μprocesses are never throttled.
+  if (auto admitted = kernel_.admission().Admit(); !admitted.ok()) {
+    co_return admitted.error();
   }
   SyscallScope scope(kernel_, caller, Sys::kFork);
-  {
-    auto entered = co_await scope.Enter();
-    if (!entered.ok()) {
-      co_return entered.error();
-    }
-  }
+  co_await scope.Enter();
   const Cycles start = kernel_.sched().Now();
   auto child = kernel_.backend().Fork(kernel_, caller, std::move(child_entry));
   if (child.ok()) {
@@ -63,12 +33,7 @@ SimTask<Result<Pid>> ProcService::Fork(Uproc& caller, UprocEntry child_entry) {
 SimTask<Result<WaitResult>> ProcService::Wait(Uproc& caller) {
   co_await DeliverSignals(caller);
   SyscallScope scope(kernel_, caller, Sys::kWait);
-  {
-    auto entered = co_await scope.Enter();
-    if (!entered.ok()) {
-      co_return entered.error();
-    }
-  }
+  co_await scope.Enter();
   for (;;) {
     Uproc* zombie = nullptr;
     bool has_children = false;
@@ -98,6 +63,29 @@ SimTask<Result<WaitResult>> ProcService::Wait(Uproc& caller) {
   }
 }
 
+void ProcService::OrphanChildren(Uproc& dying) {
+  // Reparent running children to init (pid 1); reap zombie children now.
+  Uproc* init = kernel_.FindUproc(1);
+  const bool init_alive = init != nullptr && init->state == Uproc::State::kRunning &&
+                          init->pid() != dying.pid();
+  for (Pid child_pid : std::vector<Pid>(dying.children)) {
+    Uproc* child = kernel_.FindUproc(child_pid);
+    if (child == nullptr) {
+      continue;
+    }
+    if (child->state == Uproc::State::kZombie) {
+      ReapZombie(*child);
+    } else {
+      // A fully orphaned child self-reaps at its own exit.
+      child->parent_pid = init_alive ? 1 : kInvalidPid;
+      if (init_alive) {
+        init->children.push_back(child_pid);
+      }
+    }
+  }
+  dying.children.clear();
+}
+
 void ProcService::ReapZombie(Uproc& zombie) {
   if (Uproc* parent = kernel_.FindUproc(zombie.parent_pid)) {
     auto& kids = parent->children;
@@ -109,10 +97,7 @@ void ProcService::ReapZombie(Uproc& zombie) {
 
 SimTask<void> ProcService::Exit(Uproc& caller, int code) {
   SyscallScope scope(kernel_, caller, Sys::kExit);
-  {
-    auto entered = co_await scope.Enter();
-    UF_CHECK_MSG(entered.ok(), "exit() must always reach the kernel");
-  }
+  co_await scope.Enter();
   Machine& machine = kernel_.machine();
   Scheduler& sched = kernel_.sched();
   machine.Charge(kernel_.costs().proc_teardown);
@@ -129,28 +114,7 @@ SimTask<void> ProcService::Exit(Uproc& caller, int code) {
   FaultAroundAccountExitWaste(kernel_, caller);
   caller.fds->CloseAll();
   kernel_.ReleaseUprocMemory(caller);
-  // Reparent running children to init (pid 1); reap zombie children now.
-  std::vector<Pid> children = caller.children;
-  Uproc* init = kernel_.FindUproc(1);
-  for (Pid child_pid : children) {
-    Uproc* child = kernel_.FindUproc(child_pid);
-    if (child == nullptr) {
-      continue;
-    }
-    if (child->state == Uproc::State::kZombie) {
-      ReapZombie(*child);
-    } else {
-      // Orphans are reparented to init when possible; a fully orphaned child self-reaps at
-      // its own exit.
-      const bool init_alive = init != nullptr && init->state == Uproc::State::kRunning &&
-                              init->pid() != caller.pid();
-      child->parent_pid = init_alive ? 1 : kInvalidPid;
-      if (init_alive) {
-        init->children.push_back(child_pid);
-      }
-    }
-  }
-  caller.children.clear();
+  OrphanChildren(caller);
   // Wake the parent (SIGCHLD delivery) or self-reap when orphaned.
   Uproc* parent = kernel_.FindUproc(caller.parent_pid);
   if (parent != nullptr && parent->state == Uproc::State::kRunning) {
@@ -166,34 +130,19 @@ SimTask<void> ProcService::Exit(Uproc& caller, int code) {
 
 SimTask<Result<Pid>> ProcService::GetPid(Uproc& caller) {
   SyscallScope scope(kernel_, caller, Sys::kGetPid);
-  {
-    auto entered = co_await scope.Enter();
-    if (!entered.ok()) {
-      co_return entered.error();
-    }
-  }
+  co_await scope.Enter();
   co_return caller.pid();
 }
 
 SimTask<Result<Pid>> ProcService::GetPPid(Uproc& caller) {
   SyscallScope scope(kernel_, caller, Sys::kGetPPid);
-  {
-    auto entered = co_await scope.Enter();
-    if (!entered.ok()) {
-      co_return entered.error();
-    }
-  }
+  co_await scope.Enter();
   co_return caller.parent_pid;
 }
 
 SimTask<Result<void>> ProcService::Kill(Uproc& caller, Pid target, int signal) {
   SyscallScope scope(kernel_, caller, Sys::kKill);
-  {
-    auto entered = co_await scope.Enter();
-    if (!entered.ok()) {
-      co_return entered.error();
-    }
-  }
+  co_await scope.Enter();
   if (signal <= 0 || signal > kMaxSignal) {
     co_return Error{Code::kErrInval, "bad signal number"};
   }
@@ -216,12 +165,7 @@ SimTask<Result<void>> ProcService::Kill(Uproc& caller, Pid target, int signal) {
 SimTask<Result<void>> ProcService::Sigaction(Uproc& caller, int signal,
                                              SignalHandler handler) {
   SyscallScope scope(kernel_, caller, Sys::kSigaction);
-  {
-    auto entered = co_await scope.Enter();
-    if (!entered.ok()) {
-      co_return entered.error();
-    }
-  }
+  co_await scope.Enter();
   if (signal <= 0 || signal > kMaxSignal || signal == kSigKill) {
     co_return Error{Code::kErrInval, "signal disposition cannot be changed"};
   }
@@ -285,6 +229,7 @@ void ProcService::KillUproc(Uproc& victim) {
   FaultAroundAccountExitWaste(kernel_, victim);
   victim.fds->CloseAll();
   kernel_.ReleaseUprocMemory(victim);
+  OrphanChildren(victim);
   Uproc* parent = kernel_.FindUproc(victim.parent_pid);
   if (parent != nullptr && parent->state == Uproc::State::kRunning) {
     parent->signals.Raise(kSigChld);
@@ -313,12 +258,7 @@ Result<void> ProcService::ResetUprocImage(Uproc& uproc) {
 
 SimTask<Result<void>> ProcService::Exec(Uproc& caller, std::string program) {
   SyscallScope scope(kernel_, caller, Sys::kExec);
-  {
-    auto entered = co_await scope.Enter();
-    if (!entered.ok()) {
-      co_return entered.error();
-    }
-  }
+  co_await scope.Enter();
   auto it = programs_.find(program);
   if (it == programs_.end()) {
     co_return Error{Code::kErrNoEnt, "no such program: " + program};
@@ -350,19 +290,11 @@ SimTask<Result<void>> ProcService::Exec(Uproc& caller, std::string program) {
 }
 
 SimTask<Result<Pid>> ProcService::Spawn(Uproc& caller, std::string program) {
-  {
-    auto admitted = co_await AdmitNewUproc(caller);
-    if (!admitted.ok()) {
-      co_return admitted.error();
-    }
+  if (auto admitted = kernel_.admission().Admit(); !admitted.ok()) {  // as in Fork
+    co_return admitted.error();
   }
   SyscallScope scope(kernel_, caller, Sys::kSpawn);
-  {
-    auto entered = co_await scope.Enter();
-    if (!entered.ok()) {
-      co_return entered.error();
-    }
-  }
+  co_await scope.Enter();
   auto it = programs_.find(program);
   if (it == programs_.end()) {
     co_return Error{Code::kErrNoEnt, "no such program: " + program};
@@ -384,12 +316,7 @@ SimTask<Result<Pid>> ProcService::Spawn(Uproc& caller, std::string program) {
 SimTask<Result<void>> ProcService::Nanosleep(Uproc& caller, Cycles duration) {
   co_await DeliverSignals(caller);
   SyscallScope scope(kernel_, caller, Sys::kNanosleep);
-  {
-    auto entered = co_await scope.Enter();
-    if (!entered.ok()) {
-      co_return entered.error();
-    }
-  }
+  co_await scope.Enter();
   scope.Leave();
   co_await kernel_.sched().Sleep(duration);
   co_return OkResult();
@@ -399,12 +326,7 @@ SimTask<Result<void>> ProcService::Nanosleep(Uproc& caller, Cycles duration) {
 
 SimTask<Result<ThreadId>> ProcService::ThreadCreate(Uproc& caller, UprocEntry entry) {
   SyscallScope scope(kernel_, caller, Sys::kThreadCreate);
-  {
-    auto entered = co_await scope.Enter();
-    if (!entered.ok()) {
-      co_return entered.error();
-    }
-  }
+  co_await scope.Enter();
   Scheduler& sched = kernel_.sched();
   kernel_.machine().Charge(kernel_.costs().sched_wakeup);
   // Secondary threads share everything; when their entry returns, only the thread ends.
@@ -423,12 +345,7 @@ SimTask<Result<ThreadId>> ProcService::ThreadCreate(Uproc& caller, UprocEntry en
 
 SimTask<Result<void>> ProcService::ThreadJoin(Uproc& caller, ThreadId tid) {
   SyscallScope scope(kernel_, caller, Sys::kThreadJoin);
-  {
-    auto entered = co_await scope.Enter();
-    if (!entered.ok()) {
-      co_return entered.error();
-    }
-  }
+  co_await scope.Enter();
   const bool known =
       std::find(caller.threads.begin(), caller.threads.end(), tid) != caller.threads.end();
   scope.Leave();
@@ -451,12 +368,7 @@ SimTask<Result<void>> ProcService::ThreadJoin(Uproc& caller, ThreadId tid) {
 
 SimTask<Result<Capability>> ProcService::MmapAnon(Uproc& caller, uint64_t length) {
   SyscallScope scope(kernel_, caller, Sys::kMmapAnon);
-  {
-    auto entered = co_await scope.Enter();
-    if (!entered.ok()) {
-      co_return entered.error();
-    }
-  }
+  co_await scope.Enter();
   Machine& machine = kernel_.machine();
   const UprocLayout& layout = kernel_.layout();
   // POSIX mmap rejects a zero or non-page-multiple length outright (EINVAL) — exhaustion of
@@ -502,12 +414,7 @@ SimTask<Result<Capability>> ProcService::MmapAnon(Uproc& caller, uint64_t length
 
 SimTask<Result<uint64_t>> ProcService::Sbrk(Uproc& caller, int64_t delta) {
   SyscallScope scope(kernel_, caller, Sys::kSbrk);
-  {
-    auto entered = co_await scope.Enter();
-    if (!entered.ok()) {
-      co_return entered.error();
-    }
-  }
+  co_await scope.Enter();
   Machine& machine = kernel_.machine();
   const UprocLayout& layout = kernel_.layout();
   const uint64_t heap_lo = caller.base + layout.heap_off();

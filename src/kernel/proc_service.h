@@ -80,11 +80,9 @@ class ProcService {
   SimTask<void> RaiseFault(Uproc& uproc, const Error& fault);
 
  private:
-  // Overload admission (DESIGN.md §4.10): consulted before fork/spawn construct anything.
-  // Parks the caller on the backpressure queue while the controller says kPark; returns
-  // EAGAIN on rejection. A no-op (zero virtual cycles) when the subsystem is disabled.
-  SimTask<Result<void>> AdmitNewUproc(Uproc& caller);
-
+  // Exit and SIGKILL: reaps `dying`'s zombie children and reparents its running ones to init
+  // (or orphans them when init is gone or is `dying`). Charges nothing.
+  void OrphanChildren(Uproc& dying);
   void ReapZombie(Uproc& zombie);
   void KillUproc(Uproc& victim);
   Result<void> ResetUprocImage(Uproc& uproc);

@@ -1,5 +1,6 @@
 #include "src/kernel/syscall_scope.h"
 
+#include "src/base/check.h"
 
 namespace ufork {
 
@@ -13,7 +14,7 @@ SyscallScope::~SyscallScope() {
   }
 }
 
-SimTask<Result<void>> SyscallScope::Enter() {
+SimTask<void> SyscallScope::Enter() {
   UF_CHECK_MSG(!entered_ && !open_, "SyscallScope::Enter called twice");
   UF_CHECK_MSG(desc_.klass != SyscallClass::kNoEntry,
                "delivery points must not enter the kernel");
@@ -29,11 +30,10 @@ SimTask<Result<void>> SyscallScope::Enter() {
   ++stats.Count(desc_.id);
   core_.machine().Charge(core_.costs().SyscallEntry(core_.backend().syscall_kind()));
   // Entering the kernel means invoking the sealed entry capability: the hardware unseals it
-  // and branches to the fixed kernel entry point; anything else faults (§4.4).
-  auto target = caller_.syscall_sentry.InvokedSentry();
-  if (!target.ok()) {
-    co_return target.error();
-  }
+  // and branches to the fixed kernel entry point (§4.4). The sentry is kernel-held, so an
+  // unseal failure is the simulator's bug, not the guest's.
+  UF_CHECK_MSG(caller_.syscall_sentry.InvokedSentry().ok(),
+               "syscall sentry does not unseal: the kernel-held entry capability is corrupt");
   if (core_.policy().validate_args) {
     core_.machine().Charge(core_.costs().validation_check);
   }
@@ -45,7 +45,6 @@ SimTask<Result<void>> SyscallScope::Enter() {
   core_.machine().frames().set_current_tenant(caller_.tenant);
   entered_ = true;
   open_ = true;
-  co_return OkResult();
 }
 
 void SyscallScope::Leave() {

@@ -6,8 +6,8 @@
 // EnterSyscall/LeaveSyscall pair exactly — the golden-cycle pins depend on that:
 //
 //   Enter:  count the syscall (total + per-id) → charge the backend's entry cost → invoke the
-//           sealed entry capability (error return: no lock taken) → charge argument-validation
-//           → acquire the kernel lock (KernelCore::kernel_lock; MAS kernels have none).
+//           sealed entry capability → charge argument-validation → acquire the kernel lock
+//           (KernelCore::kernel_lock; MAS kernels have none).
 //   Leave:  charge half the entry cost (context restore) → release the lock.
 //
 // Blocking syscalls (SyscallClass::kBlocking) call Leave() explicitly before suspending — the
@@ -22,7 +22,6 @@
 #ifndef UFORK_SRC_KERNEL_SYSCALL_SCOPE_H_
 #define UFORK_SRC_KERNEL_SYSCALL_SCOPE_H_
 
-#include "src/base/status.h"
 #include "src/kernel/kernel_core.h"
 #include "src/kernel/syscall_table.h"
 #include "src/kernel/uproc.h"
@@ -40,9 +39,10 @@ class SyscallScope {
   SyscallScope(const SyscallScope&) = delete;
   SyscallScope& operator=(const SyscallScope&) = delete;
 
-  // Runs the entry protocol. On error (sealed-entry check failed) the scope holds nothing and
-  // the destructor is a no-op; the caller must return the error.
-  SimTask<Result<void>> Enter();
+  // Runs the entry protocol. Cannot fail: the sealed entry capability is kernel-held (installed
+  // by InstallArchCaps, copied by StartForkChild) and no guest operation writes it, so a failed
+  // unseal is a host invariant violation and aborts (DESIGN.md §4.9's host plane).
+  SimTask<void> Enter();
 
   // Explicitly leaves the kernel section before a suspension point. Only legal on syscalls the
   // table declares kBlocking.
@@ -58,7 +58,7 @@ class SyscallScope {
   KernelCore& core_;
   Uproc& caller_;
   const SyscallDesc& desc_;
-  bool entered_ = false;  // Enter() completed successfully at least once
+  bool entered_ = false;  // Enter() completed
   bool open_ = false;     // currently inside the kernel section (holding the kernel lock)
 };
 

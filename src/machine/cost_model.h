@@ -6,10 +6,12 @@
 // paper's claims are relative (ratios, crossovers), which the calibrated model preserves;
 // EXPERIMENTS.md records measured-vs-paper for every figure.
 //
-// Three syscall entry flavours model the three systems compared:
+// Two syscall entry flavours price the three systems compared:
 //   * kSealedEntry  — μFork: sealed-capability branch, same exception level, no trap (§4.4).
+//                     Nephele is priced the same: inside its unikernel guest a syscall is a
+//                     function call, and `hypercall` is charged only where the hypervisor is
+//                     involved (creating a clone, the world switch between domains).
 //   * kTrap         — CheriBSD: classical SVC trap + kernel entry.
-//   * kHypercall    — Nephele: trap into the guest kernel plus hypervisor transition.
 #ifndef UFORK_SRC_MACHINE_COST_MODEL_H_
 #define UFORK_SRC_MACHINE_COST_MODEL_H_
 
@@ -19,7 +21,7 @@
 
 namespace ufork {
 
-enum class SyscallEntryKind { kSealedEntry, kTrap, kHypercall };
+enum class SyscallEntryKind { kSealedEntry, kTrap };
 
 struct CostModel {
   // --- Security domain transitions -----------------------------------------------------------
@@ -83,8 +85,6 @@ struct CostModel {
         return syscall_sealed_entry;
       case SyscallEntryKind::kTrap:
         return syscall_trap;
-      case SyscallEntryKind::kHypercall:
-        return hypercall;
     }
     return syscall_trap;
   }

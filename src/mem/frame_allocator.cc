@@ -80,9 +80,6 @@ void FrameAllocator::Free(FrameId id) {
   --frames_in_use_;
   UnchargeTenant(slots_[id].tenant);
   free_list_.push_back(id);
-  if (release_hook_) {
-    release_hook_();
-  }
 }
 
 void FrameAllocator::CopyFrame(FrameId dst, FrameId src) {

@@ -143,11 +143,6 @@ class FrameAllocator {
     }
   }
 
-  // Hook invoked after a frame's last reference drops (the frame became free). KernelCore
-  // always installs one, which drains the overload subsystem's backpressure queue; a bare
-  // allocator (no hook) pays one branch.
-  void set_release_hook(std::function<void()> hook) { release_hook_ = std::move(hook); }
-
   // Invokes fn(id, refcount) for every live frame, in id order. Drives the frame-accounting
   // invariant checker (KernelCore::CheckFrameAccounting).
   void ForEachLive(const std::function<void(FrameId, uint32_t)>& fn) const {
@@ -190,7 +185,6 @@ class FrameAllocator {
   std::map<TenantId, uint64_t> tenant_caps_;    // grant-time ceilings (absent: uncapped)
   bool caps_active_ = false;
   uint64_t tenant_cap_rejections_ = 0;
-  std::function<void()> release_hook_;
 };
 
 }  // namespace ufork

@@ -338,14 +338,12 @@ TEST(ForkFuzz, ForkServerSurvivesChaosWithoutHostAbort) {
 
 TEST(ForkFuzz, ForkServerSurvivesAdmissionPushback) {
   // Rejecting admission: watermarks above the total frame count mean every fork is refused
-  // with EAGAIN (max_parked=0) from the first case on. The server must retry, give up case
-  // by case, and finish with an intact ledger — the pre-PR behaviour was a UF_CHECK abort.
+  // with EAGAIN from the first case on. The server must retry, give up case by case, and
+  // finish with an intact ledger, never a UF_CHECK abort.
   OverloadConfig overload;
   overload.enabled = true;
   overload.low_watermark = UINT64_MAX / 2;
-  overload.critical_watermark = UINT64_MAX / 2;
   overload.clear_watermark = UINT64_MAX / 2;
-  overload.max_parked = 0;
   const FuzzRun run =
       RunFuzzCampaign(/*seed=*/5, /*iterations=*/10, /*arm_chaos=*/false, &overload);
   ASSERT_TRUE(run.finished);

@@ -135,7 +135,6 @@ TEST(CostModelTest, SyscallEntryFlavours) {
   CostModel costs;
   EXPECT_EQ(costs.SyscallEntry(SyscallEntryKind::kSealedEntry), costs.syscall_sealed_entry);
   EXPECT_EQ(costs.SyscallEntry(SyscallEntryKind::kTrap), costs.syscall_trap);
-  EXPECT_EQ(costs.SyscallEntry(SyscallEntryKind::kHypercall), costs.hypercall);
   // The design's core asymmetry: sealed entry is dramatically cheaper than a trap (§4.4).
   EXPECT_LT(costs.syscall_sealed_entry * 5, costs.syscall_trap);
 }

@@ -313,6 +313,53 @@ TEST(Kernel, KillTerminatesTarget) {
   EXPECT_EQ(statuses, std::vector<int>(kRoots * kVictimsPerRoot, -9));
 }
 
+TEST(Kernel, KillReapsTheVictimsZombieChildren) {
+  // SIGKILL tears the victim down the way exit() does: its zombie child is reaped with it, and
+  // its running child is reparented to init (the root, pid 1), which then waits for it.
+  auto kernel = MakeUforkKernel(SmallConfig());
+  std::vector<int> statuses;
+  auto pid = kernel->Spawn(
+      MakeGuestEntry([&statuses](Guest& g) -> SimTask<void> {
+        auto victim = co_await g.Fork([](Guest& vg) -> SimTask<void> {
+          auto zombie = co_await vg.Fork([](Guest& cg) -> SimTask<void> { co_await cg.Exit(3); });
+          CO_ASSERT_TRUE(zombie.ok());
+          auto orphan = co_await vg.Fork([](Guest& cg) -> SimTask<void> {
+            co_await cg.Nanosleep(Milliseconds(10));
+            co_await cg.Exit(4);
+          });
+          CO_ASSERT_TRUE(orphan.ok());
+          co_await vg.Nanosleep(Seconds(100));
+          co_await vg.Exit(0);
+        });
+        CO_ASSERT_TRUE(victim.ok());
+        co_await g.Nanosleep(Milliseconds(1));
+        CO_ASSERT_TRUE((co_await g.Kill(*victim)).ok());
+        for (int i = 0; i < 2; ++i) {
+          auto waited = co_await g.Wait();
+          CO_ASSERT_TRUE(waited.ok());
+          statuses.push_back(waited->status);
+        }
+      }),
+      "root");
+  ASSERT_TRUE(pid.ok());
+  kernel->Run();
+  EXPECT_EQ(statuses, (std::vector<int>{-9, 4}));
+  EXPECT_TRUE(kernel->AllPids().empty());
+}
+
+TEST(KernelDeathTest, SyscallThroughACorruptSentryAbortsTheHost) {
+  // The sealed entry capability is kernel-held and no guest operation writes it, so a sentry
+  // that fails to unseal is a simulator bug: a host abort, not an error returned to the guest.
+  auto kernel = MakeUforkKernel(SmallConfig());
+  auto pid = kernel->Spawn(MakeGuestEntry([](Guest& g) -> SimTask<void> {
+                             g.uproc().syscall_sentry = Capability{};  // host-side corruption
+                             (void)co_await g.GetPid();
+                           }),
+                           "corrupt");
+  ASSERT_TRUE(pid.ok());
+  EXPECT_DEATH(kernel->Run(), "syscall sentry");
+}
+
 TEST(Kernel, PrivilegedOpDeniedToUserCode) {
   auto kernel = MakeUforkKernel(SmallConfig());
   auto pid = kernel->Spawn(MakeGuestEntry([](Guest& g) -> SimTask<void> {

@@ -1,5 +1,5 @@
 // Overload-control matrix (DESIGN.md §4.10): frame-pool watermark hysteresis, EAGAIN
-// admission rejection, backpressure parking, and per-tenant frame caps.
+// admission rejection, and per-tenant frame caps.
 //
 // The watermark tests drive the free-frame count directly (FrameAllocator::Allocate/Release
 // from the test body) so every threshold crossing is exact, then probe the controller through
@@ -61,9 +61,7 @@ TEST(Overload, WatermarkHysteresisRejectsBelowLowAndRecoversOnlyAboveClear) {
           OverloadConfig oc;
           oc.enabled = true;
           oc.low_watermark = free0 - 6;
-          oc.critical_watermark = 0;
           oc.clear_watermark = free0 - 2;
-          oc.max_parked = 0;  // pure-EAGAIN mode: parking is exercised separately
           k.admission().Configure(oc);
 
           // Above the low watermark: fork and spawn are admitted.
@@ -116,135 +114,6 @@ TEST(Overload, WatermarkHysteresisRejectsBelowLowAndRecoversOnlyAboveClear) {
     kernel->Run();
     // Rejected creations never reached the fork backend.
     EXPECT_EQ(kernel->stats().forks, 2u);
-    EXPECT_EQ(kernel->LivePids().size(), 0u);
-    EXPECT_TRUE(kernel->CheckFrameAccounting().ok());
-  }
-}
-
-TEST(Overload, BelowCriticalWatermarkRejectsImmediatelyWithoutParking) {
-  auto kernel = MakeUforkKernel(TinyConfig());
-  auto pid = kernel->Spawn(
-      MakeGuestEntry([](Guest& g) -> SimTask<void> {
-        Kernel& k = g.kernel();
-        FrameAllocator& fr = k.machine().frames();
-        const uint64_t free0 = fr.free_frames();
-
-        OverloadConfig oc;
-        oc.enabled = true;
-        oc.low_watermark = free0 - 4;
-        oc.critical_watermark = free0 - 10;
-        oc.clear_watermark = free0 - 2;
-        oc.max_parked = 4;  // parking allowed — but not below critical
-        k.admission().Configure(oc);
-
-        std::vector<FrameId> held;
-        for (int i = 0; i < 12; ++i) {
-          auto frame = fr.Allocate();
-          CO_ASSERT_OK(frame);
-          held.push_back(*frame);
-        }
-        auto rejected = co_await g.Fork(TrivialChild);
-        CO_ASSERT_EQ(rejected.code(), Code::kErrAgain);
-        CO_ASSERT_EQ(k.admission().parked(), 0u);
-        CO_ASSERT_EQ(k.stats().admission_parked, 0u);
-        CO_ASSERT_EQ(k.stats().admission_rejected, 1u);
-
-        for (const FrameId frame : held) {
-          fr.Release(frame);
-        }
-        auto admitted = co_await g.Fork(TrivialChild);
-        CO_ASSERT_OK(admitted);
-        CO_ASSERT_OK(co_await g.Wait());
-      }),
-      "critical");
-  ASSERT_TRUE(pid.ok());
-  kernel->Run();
-  EXPECT_EQ(kernel->stats().forks, 1u);
-  EXPECT_TRUE(kernel->CheckFrameAccounting().ok());
-}
-
-// --- backpressure parking ----------------------------------------------------------------------
-
-TEST(Overload, BackpressureParksForkersAndDrainsWhenFramesFree) {
-  for (const System& system : kSystems) {
-    SCOPED_TRACE(system.name);
-    auto kernel = system.make(TinyConfig());
-    auto pid = kernel->Spawn(
-        MakeGuestEntry([](Guest& g) -> SimTask<void> {
-          Kernel& k = g.kernel();
-          FrameAllocator& fr = k.machine().frames();
-
-          // Two pipes (one per direction): with a single shared pipe the child's go-read could
-          // consume its own just-written ready byte before the parent runs.
-          auto ready_pipe = co_await g.Pipe();
-          CO_ASSERT_OK(ready_pipe);
-          auto go_pipe = co_await g.Pipe();
-          CO_ASSERT_OK(go_pipe);
-          const int ready_r = ready_pipe->first;
-          const int ready_w = ready_pipe->second;
-          const int go_r = go_pipe->first;
-          const int go_w = go_pipe->second;
-
-          auto child = co_await g.Fork([ready_w, go_r](Guest& cg) -> SimTask<void> {
-            auto buf = cg.Malloc(16);
-            CO_ASSERT_OK(buf);
-            // Touch the buffer page now so the go-read below allocates nothing.
-            CO_ASSERT_OK(cg.StoreAt<uint64_t>(*buf, 0, 1));
-            CO_ASSERT_OK(co_await cg.Write(ready_w, *buf, 1));
-            auto go = co_await cg.Read(go_r, *buf, 1);  // blocks until the parent says go
-            CO_ASSERT_OK(go);
-            // The pool is now below low: this fork must PARK, then succeed after the drain.
-            auto grandchild = co_await cg.Fork(TrivialChild);
-            CO_ASSERT_OK(grandchild);
-            CO_ASSERT_OK(co_await cg.Wait());
-            co_await cg.Exit(0);
-          });
-          CO_ASSERT_OK(child);
-
-          auto buf = g.Malloc(16);
-          CO_ASSERT_OK(buf);
-          CO_ASSERT_OK(g.StoreAt<uint64_t>(*buf, 0, 1));
-          auto ready = co_await g.Read(ready_r, *buf, 1);
-          CO_ASSERT_OK(ready);
-
-          // Steady state with the child alive: calibrate, then starve the pool.
-          const uint64_t free1 = fr.free_frames();
-          OverloadConfig oc;
-          oc.enabled = true;
-          oc.low_watermark = free1 - 4;
-          oc.critical_watermark = 0;
-          oc.clear_watermark = free1 - 2;
-          oc.max_parked = 4;
-          k.admission().Configure(oc);
-
-          std::vector<FrameId> held;
-          for (int i = 0; i < 6; ++i) {
-            auto frame = fr.Allocate();
-            CO_ASSERT_OK(frame);
-            held.push_back(*frame);
-          }
-          CO_ASSERT_OK(co_await g.Write(go_w, *buf, 1));
-          co_await g.Nanosleep(Milliseconds(1));
-          CO_ASSERT_EQ(k.admission().parked(), 1u);
-          CO_ASSERT_EQ(k.stats().admission_parked, 1u);
-          CO_ASSERT_TRUE(k.admission().rejecting());
-
-          // Drain: releasing the pinned frames crosses the clear watermark; the release hook
-          // wakes the parked forker, which re-Evaluates and proceeds.
-          for (const FrameId frame : held) {
-            fr.Release(frame);
-          }
-          CO_ASSERT_EQ(k.admission().parked(), 0u);
-          auto waited = co_await g.Wait();
-          CO_ASSERT_OK(waited);
-          CO_ASSERT_EQ(waited->status, 0);
-          CO_ASSERT_EQ(k.stats().admission_resumed, 1u);
-          CO_ASSERT_EQ(k.stats().admission_rejected, 0u);
-        }),
-        "backpressure");
-    ASSERT_TRUE(pid.ok());
-    kernel->Run();
-    EXPECT_EQ(kernel->stats().forks, 2u) << "parked fork must eventually complete";
     EXPECT_EQ(kernel->LivePids().size(), 0u);
     EXPECT_TRUE(kernel->CheckFrameAccounting().ok());
   }
